@@ -12,8 +12,8 @@ use std::time::Instant;
 
 use qof_core::baseline::BaselineMode;
 use qof_core::{
-    advise, certify, optimize, parse_query, AbsInterp, Direction, ExecOptions, FileDatabase,
-    InclusionExpr, Rig, SelectKind,
+    advise, certify, optimize, parse_query, AbsInterp, Direction, FileDatabase, InclusionExpr,
+    QueryResult, Rig, SelectKind,
 };
 use qof_corpus::{bibtex, logs};
 use qof_grammar::{render_tree, IndexSpec, Parser};
@@ -23,8 +23,8 @@ use qof_text::{Corpus, Tokenizer, WordIndex};
 use crate::report::{ExperimentReport, Measurement};
 use crate::{
     bibtex_corpus, bibtex_full, bibtex_partial, fmt_secs, grep_scan, median_secs,
-    multi_file_bibtex, sgml_full, time_baseline, time_query, CHANG_AUTHOR, CHANG_STAR,
-    EDITOR_IS_AUTHOR, PARALLEL_WORKLOAD,
+    multi_file_bibtex, sgml_full, time_baseline, time_query, BATCH_WORKLOAD, CHANG_AUTHOR,
+    CHANG_STAR, EDITOR_IS_AUTHOR,
 };
 
 /// How big a corpus each experiment builds.
@@ -87,7 +87,7 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ("e8", "optimizer scaling with expression length (Theorem 3.6)"),
     ("e9", "choosing what to index: size vs time (§7)"),
     ("e10", "exact answers with partial indexing (§6.3)"),
-    ("e11", "sharded parallel execution and the subexpression cache"),
+    ("e11", "the subexpression cache and a traced E6 join"),
     ("e12", "query server under closed-loop load: latency from /metrics, log overhead"),
     ("e13", "persistent compressed index (.qofx): O(1) reopen vs rebuild"),
     ("a1", "ablation: common-subexpression sharing in boolean queries (§5.2)"),
@@ -570,72 +570,34 @@ fn e10(scale: Scale, r: &mut Recorder) {
     );
 }
 
-/// E11: the sharded parallel execution layer and the engine-level
-/// subexpression cache, on the E2/E6 workload (`query_many` batches).
+/// E11: the engine-level subexpression cache on the E2/E6 workload, and
+/// the trace-derived breakdown of the heaviest query (E6's content join).
 ///
-/// Reports, per thread count, the batched wall-clock and its speedup over
-/// one thread, plus the cache hit rate of a repeated batch. Results are
-/// asserted byte-identical to sequential evaluation at every setting.
+/// Reports the batch's wall-clock uncached and as a cached repeat, plus
+/// the cache hit rate. Cached results are asserted identical to uncached
+/// evaluation.
 fn e11(scale: Scale, r: &mut Recorder) {
-    banner("E11", "sharded parallel execution and the subexpression cache");
+    banner("E11", "the subexpression cache and a traced E6 join");
     let (files, refs) = scale.pick((6, 40), (12, 400));
     let corpus = multi_file_bibtex(files, refs);
     let mut fdb = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
-    let batch: Vec<&str> = PARALLEL_WORKLOAD.to_vec();
-    println!("corpus: {files} files × {refs} refs; batch of {} queries", batch.len());
+    println!("corpus: {files} files × {refs} refs; batch of {} queries", BATCH_WORKLOAD.len());
 
     let run_batch = |fdb: &FileDatabase| {
         let t = Instant::now();
-        let results = fdb.query_many(&batch);
+        let results: Vec<QueryResult> =
+            BATCH_WORKLOAD.iter().map(|q| fdb.query(q).unwrap()).collect();
         (results, t.elapsed().as_secs_f64())
     };
-    // Sequential, uncached baseline — also the correctness oracle.
-    fdb.set_exec_options(ExecOptions { threads: 1, cache: false });
+    // Uncached baseline — also the correctness oracle.
     let (baseline, _) = run_batch(&fdb);
     let t1 = median_secs(3, || run_batch(&fdb).1);
-    r.rec("batch_secs_threads1", t1, "s");
-    println!("{:>9} | {:>10} | {:>7}", "threads", "batch", "speedup");
-    println!("{:>9} | {} | {:>6.2}x", 1, fmt_secs(t1), 1.0);
-
-    for threads in scale.pick(vec![2, 4], vec![2, 4, 8]) {
-        fdb.set_exec_options(ExecOptions { threads, cache: false });
-        let (results, _) = run_batch(&fdb);
-        for (a, b) in baseline.iter().zip(&results) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.regions, b.regions, "parallel execution changed a result");
-            assert_eq!(a.values, b.values, "parallel execution changed a value");
-        }
-        let tt = median_secs(3, || run_batch(&fdb).1);
-        r.rec(format!("batch_secs_threads{threads}"), tt, "s");
-        r.rec(format!("batch_speedup_threads{threads}"), t1 / tt.max(1e-12), "x");
-        println!("{:>9} | {} | {:>6.2}x", threads, fmt_secs(tt), t1 / tt.max(1e-12));
-    }
-
-    // Per-query sharding on the single heaviest query (E6's content join).
-    fdb.set_exec_options(ExecOptions { threads: 1, cache: false });
-    let tq1 = median_secs(3, || time_query(&fdb, EDITOR_IS_AUTHOR).1);
-    let seq = fdb.query(EDITOR_IS_AUTHOR).unwrap();
-    fdb.set_exec_options(ExecOptions { threads: 4, cache: false });
-    let par = fdb.query(EDITOR_IS_AUTHOR).unwrap();
-    assert_eq!(seq.regions, par.regions);
-    assert_eq!(seq.values, par.values);
-    let tq4 = median_secs(3, || time_query(&fdb, EDITOR_IS_AUTHOR).1);
-    r.rec("join_query_secs_threads1", tq1, "s");
-    r.rec("join_query_secs_threads4", tq4, "s");
-    r.rec("join_query_speedup_threads4", tq1 / tq4.max(1e-12), "x");
-    println!(
-        "single E6 join: {} (1 thread) vs {} (4 threads, sharded) = {:.2}x",
-        fmt_secs(tq1),
-        fmt_secs(tq4),
-        tq1 / tq4.max(1e-12)
-    );
+    r.rec("batch_secs", t1, "s");
 
     // The §5.2 cache across a repeated batch: second pass is mostly hits.
-    fdb.set_exec_options(ExecOptions { threads: 1, cache: true });
-    fdb.clear_subexpr_cache();
+    fdb.set_subexpr_cache(true);
     let (warm, _) = run_batch(&fdb);
     for (a, b) in baseline.iter().zip(&warm) {
-        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
         assert_eq!(a.regions, b.regions, "cached execution changed a result");
         assert_eq!(a.values, b.values, "cached execution changed a value");
     }
@@ -645,18 +607,18 @@ fn e11(scale: Scale, r: &mut Recorder) {
     r.rec("cache_speedup", t1 / tc.max(1e-12), "x");
     r.rec("cache_hit_rate", stats.hit_rate(), "ratio");
     println!(
-        "cached repeat batch: {} = {:.2}x vs uncached; hit rate {:.1}% ({} entries)",
+        "uncached batch: {}; cached repeat: {} = {:.2}x; hit rate {:.1}% ({} entries)",
+        fmt_secs(t1),
         fmt_secs(tc),
         t1 / tc.max(1e-12),
         100.0 * stats.hit_rate(),
         stats.entries
     );
-    println!("(speedups depend on available cores; results are asserted identical throughout)");
 
     // Trace-derived breakdown of the heaviest query: per-phase timings and
     // this run's cache hit ratio, embedded into the report as a full
-    // `QueryTrace` document. Traced evaluation re-enters the same memoized
-    // engine, so the result must be byte-identical to the untraced run —
+    // `QueryTrace` document. Traced evaluation runs the same evaluator, so
+    // the result must be byte-identical to the untraced run —
     // asserted here instead of a speedup (tracing is pure overhead).
     let untraced = fdb.query(EDITOR_IS_AUTHOR).unwrap();
     let (traced, trace) = fdb.query_traced(EDITOR_IS_AUTHOR).unwrap();
@@ -743,7 +705,7 @@ fn e12(scale: Scale, r: &mut Recorder) {
     let build_db = || {
         FileDatabase::build(multi_file_bibtex(files, refs), bibtex::schema(), IndexSpec::full())
             .expect("generated corpus indexes")
-            .with_exec_options(ExecOptions { threads: 1, cache: true })
+            .with_subexpr_cache(true)
     };
     // One closed-loop run: start a fresh server, drive it, return the
     // handle (still serving) and the load's wall-clock seconds.
@@ -760,7 +722,7 @@ fn e12(scale: Scale, r: &mut Recorder) {
                         let (want, q) = if i == 0 {
                             (400, "SELEC nope")
                         } else {
-                            (200, PARALLEL_WORKLOAD[(c + i) % PARALLEL_WORKLOAD.len()])
+                            (200, BATCH_WORKLOAD[(c + i) % BATCH_WORKLOAD.len()])
                         };
                         let (status, body) = client.post("/query", q).expect("request");
                         assert_eq!(status, want, "{body}");
@@ -874,7 +836,7 @@ fn e13(scale: Scale, r: &mut Recorder) {
     // backends; time them side by side while at it.
     let mut t_mem_total = 0.0;
     let mut t_qofx_total = 0.0;
-    for q in PARALLEL_WORKLOAD {
+    for q in BATCH_WORKLOAD {
         let (a, ta) = time_query(&mem, q);
         let (b, tb) = time_query(&qofx, q);
         assert_eq!(a.regions, b.regions, "regions differ on {q}");
@@ -884,9 +846,9 @@ fn e13(scale: Scale, r: &mut Recorder) {
         t_qofx_total += tb;
     }
     #[allow(clippy::cast_precision_loss)]
-    let t_mem_q = t_mem_total / PARALLEL_WORKLOAD.len() as f64;
+    let t_mem_q = t_mem_total / BATCH_WORKLOAD.len() as f64;
     #[allow(clippy::cast_precision_loss)]
-    let t_qofx_q = t_qofx_total / PARALLEL_WORKLOAD.len() as f64;
+    let t_qofx_q = t_qofx_total / BATCH_WORKLOAD.len() as f64;
 
     let index_bytes = file_bytes.saturating_sub(corpus_bytes);
     #[allow(clippy::cast_precision_loss)]

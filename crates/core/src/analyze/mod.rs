@@ -227,7 +227,7 @@ impl Diagnostic {
     /// `span` key is omitted when the finding is not source-anchored.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
-        let esc = crate::trace::esc;
+        let esc = qof_pat::json::escape;
         let mut out = String::new();
         let _ = write!(
             out,

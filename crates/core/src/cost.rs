@@ -206,8 +206,7 @@ impl StatsStore {
     }
 
     /// Feeds one completed query trace back into the model: every operator
-    /// node's observed output cardinality (main engine and shards)
-    /// accumulates into the per-operator running means.
+    /// node's observed output cardinality accumulates into the per-operator running means.
     pub fn observe_trace(&self, trace: &QueryTrace) {
         fn walk(ops: &[OpTrace], obs: &mut CardObservations) {
             for op in ops {
@@ -218,9 +217,6 @@ impl StatsStore {
         {
             let mut obs = self.observations.lock().expect("stats observations poisoned");
             walk(&trace.ops, &mut obs);
-            for shard in &trace.shards {
-                walk(&shard.ops, &mut obs);
-            }
         }
         // The same observations again, keyed by the trace's fingerprint
         // (v6): hot shapes build their own calibration independent of the
@@ -238,9 +234,6 @@ impl StatsStore {
             }
             let obs = map.entry(trace.fingerprint).or_default();
             walk(&trace.ops, obs);
-            for shard in &trace.shards {
-                walk(&shard.ops, obs);
-            }
         }
     }
 

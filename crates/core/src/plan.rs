@@ -154,6 +154,26 @@ pub struct Plan {
     /// schema v6 stamps it; `GET /workload` and `qof qlog analyze`
     /// aggregate under it.
     pub fingerprint: u64,
+    /// Plan-cache lookups of this planning run that found a lowering.
+    /// Counted by the planner itself, so a concurrent query's lookups
+    /// never leak into this plan's count.
+    pub plan_cache_hits: u64,
+    /// Plan-cache lookups of this planning run that found nothing.
+    pub plan_cache_misses: u64,
+}
+
+/// What lowering a query's chains records along the way.
+#[derive(Debug, Default)]
+struct Lowering {
+    /// Optimizer rewrites applied, in application order.
+    rewrites: Vec<PlanRewrite>,
+    /// Every chain key consulted, in planning order — the plan's
+    /// fingerprint material.
+    fp_keys: Vec<String>,
+    /// Plan-cache lookups that hit.
+    plan_cache_hits: u64,
+    /// Plan-cache lookups that missed.
+    plan_cache_misses: u64,
 }
 
 /// Planning failures.
@@ -341,8 +361,7 @@ impl<'a> Planner<'a> {
         // the optimizer rewrites fired along the way. Every chain key the
         // lowering consults is also collected: the plan's workload
         // fingerprint hashes them in planning order.
-        let mut rewrites: Vec<PlanRewrite> = Vec::new();
-        let mut fp_keys: Vec<String> = Vec::new();
+        let mut low = Lowering::default();
         for vp in &mut vars {
             let conds = &local
                 .iter()
@@ -354,9 +373,7 @@ impl<'a> Planner<'a> {
             let mut filter_specs: Vec<Vec<String>> = Vec::new();
             let planned = conds
                 .iter()
-                .map(|c| {
-                    self.plan_cond(c, &vp.symbol, &mut filter_specs, &mut rewrites, &mut fp_keys)
-                })
+                .map(|c| self.plan_cond(c, &vp.symbol, &mut filter_specs, &mut low))
                 .collect::<Result<Vec<_>, _>>()?;
             vp.cond = planned.into_iter().reduce(|a, b| CondNode::And(Box::new(a), Box::new(b)));
             let folded = conds.iter().cloned().reduce(|a, b| Cond::And(Box::new(a), Box::new(b)));
@@ -392,8 +409,8 @@ impl<'a> Planner<'a> {
                     .clone();
                 let lspec = resolve_path(&self.schema.grammar, &lsym, &p.steps)?;
                 let rspec = resolve_path(&self.schema.grammar, &rsym, &qp.steps)?;
-                let (le, ld, lex) = self.deep_expr(&lspec, &mut rewrites, &mut fp_keys)?;
-                let (re, rd, rex) = self.deep_expr(&rspec, &mut rewrites, &mut fp_keys)?;
+                let (le, ld, lex) = self.deep_expr(&lspec, &mut low)?;
+                let (re, rd, rex) = self.deep_expr(&rspec, &mut low)?;
                 // Extend the push-down filters with the join paths.
                 for vp in &mut vars {
                     let spec = if vp.var == lv {
@@ -437,7 +454,7 @@ impl<'a> Planner<'a> {
                 let mut f = PathFilter::from_paths(&filter_paths(&spec));
                 f.merge(&vp.filter);
                 vp.filter = f;
-                let chain = self.deep_expr(&spec, &mut rewrites, &mut fp_keys).ok();
+                let chain = self.deep_expr(&spec, &mut low).ok();
                 let steps = compile_steps(&self.schema.grammar, &vp.symbol, &p.steps)?;
                 ProjPlan::Values { var: p.var.clone(), steps, chain }
             }
@@ -451,7 +468,7 @@ impl<'a> Planner<'a> {
         // strict flag and view symbols (so scans of different views
         // differ). All material is deterministic spelling — the hash is
         // identical across processes for the same query shape.
-        let fingerprint = match fp_keys.as_slice() {
+        let fingerprint = match low.fp_keys.as_slice() {
             [single] => fnv1a64(single.as_bytes()),
             keys => {
                 let mut material = format!("plan|strict={}", self.strict);
@@ -464,7 +481,15 @@ impl<'a> Planner<'a> {
                 fnv1a64(material.as_bytes())
             }
         };
-        Ok(Plan { vars, join, projection, rewrites, fingerprint })
+        Ok(Plan {
+            vars,
+            join,
+            projection,
+            rewrites: low.rewrites,
+            fingerprint,
+            plan_cache_hits: low.plan_cache_hits,
+            plan_cache_misses: low.plan_cache_misses,
+        })
     }
 
     /// Plans a single-variable condition.
@@ -473,14 +498,13 @@ impl<'a> Planner<'a> {
         cond: &Cond,
         view_symbol: &str,
         filters: &mut Vec<Vec<String>>,
-        rewrites: &mut Vec<PlanRewrite>,
-        fp_keys: &mut Vec<String>,
+        low: &mut Lowering,
     ) -> Result<CondNode, PlanError> {
         match cond {
             Cond::Eq(p, crate::RightHand::Const(w)) => {
                 let spec = resolve_path(&self.schema.grammar, view_symbol, &p.steps)?;
                 filters.extend(filter_paths(&spec));
-                let (expr, display, exact) = self.container_expr(&spec, w, rewrites, fp_keys)?;
+                let (expr, display, exact) = self.container_expr(&spec, w, low)?;
                 Ok(CondNode::IndexOnly { expr, display, exact })
             }
             Cond::Eq(p, crate::RightHand::Path(qp)) => {
@@ -488,8 +512,8 @@ impl<'a> Planner<'a> {
                 let rspec = resolve_path(&self.schema.grammar, view_symbol, &qp.steps)?;
                 filters.extend(filter_paths(&lspec));
                 filters.extend(filter_paths(&rspec));
-                let (le, ld, lex) = self.deep_expr(&lspec, rewrites, fp_keys)?;
-                let (re, rd, rex) = self.deep_expr(&rspec, rewrites, fp_keys)?;
+                let (le, ld, lex) = self.deep_expr(&lspec, low)?;
+                let (re, rd, rex) = self.deep_expr(&rspec, low)?;
                 Ok(CondNode::ContentCompare {
                     left: le,
                     right: re,
@@ -498,20 +522,16 @@ impl<'a> Planner<'a> {
                 })
             }
             Cond::And(a, b) => Ok(CondNode::And(
-                Box::new(self.plan_cond(a, view_symbol, filters, rewrites, fp_keys)?),
-                Box::new(self.plan_cond(b, view_symbol, filters, rewrites, fp_keys)?),
+                Box::new(self.plan_cond(a, view_symbol, filters, low)?),
+                Box::new(self.plan_cond(b, view_symbol, filters, low)?),
             )),
             Cond::Or(a, b) => Ok(CondNode::Or(
-                Box::new(self.plan_cond(a, view_symbol, filters, rewrites, fp_keys)?),
-                Box::new(self.plan_cond(b, view_symbol, filters, rewrites, fp_keys)?),
+                Box::new(self.plan_cond(a, view_symbol, filters, low)?),
+                Box::new(self.plan_cond(b, view_symbol, filters, low)?),
             )),
-            Cond::Not(a) => Ok(CondNode::Not(Box::new(self.plan_cond(
-                a,
-                view_symbol,
-                filters,
-                rewrites,
-                fp_keys,
-            )?))),
+            Cond::Not(a) => {
+                Ok(CondNode::Not(Box::new(self.plan_cond(a, view_symbol, filters, low)?)))
+            }
         }
     }
 
@@ -521,8 +541,7 @@ impl<'a> Planner<'a> {
         &self,
         spec: &PathSpec,
         word: &str,
-        rewrites: &mut Vec<PlanRewrite>,
-        fp_keys: &mut Vec<String>,
+        low: &mut Lowering,
     ) -> Result<(RegionExpr, String, bool), PlanError> {
         // A trailing `*` in the constant selects by word prefix — PAT's
         // lexical search (`r.Last_Name = "Ch*"`).
@@ -533,8 +552,7 @@ impl<'a> Planner<'a> {
         let mut exprs: Vec<(RegionExpr, String, bool)> = Vec::new();
         for alt in &spec.alternatives {
             let chain = self.project_chain(alt, Some(selector.clone()));
-            let (expr, display, exact) =
-                self.lower_chain(&chain, Direction::Including, rewrites, fp_keys);
+            let (expr, display, exact) = self.lower_chain(&chain, Direction::Including, low);
             exprs.push((expr, display, exact));
         }
         combine_union(exprs)
@@ -545,14 +563,12 @@ impl<'a> Planner<'a> {
     fn deep_expr(
         &self,
         spec: &PathSpec,
-        rewrites: &mut Vec<PlanRewrite>,
-        fp_keys: &mut Vec<String>,
+        low: &mut Lowering,
     ) -> Result<(RegionExpr, String, bool), PlanError> {
         let mut exprs: Vec<(RegionExpr, String, bool)> = Vec::new();
         for alt in &spec.alternatives {
             let chain = self.project_chain(alt, None);
-            let (expr, display, exact) =
-                self.lower_chain(&chain, Direction::IncludedIn, rewrites, fp_keys);
+            let (expr, display, exact) = self.lower_chain(&chain, Direction::IncludedIn, low);
             exprs.push((expr, display, exact));
         }
         combine_union(exprs)
@@ -693,8 +709,7 @@ impl<'a> Planner<'a> {
         &self,
         chain: &ProjectedChain,
         dir: Direction,
-        rewrites: &mut Vec<PlanRewrite>,
-        fp_keys: &mut Vec<String>,
+        low: &mut Lowering,
     ) -> (RegionExpr, String, bool) {
         // Split at Exact ops; optimize each run as an InclusionExpr.
         let mut runs: Vec<(Vec<String>, Vec<ChainOp>)> = Vec::new();
@@ -732,7 +747,7 @@ impl<'a> Planner<'a> {
             // workload-fingerprint material and the per-fingerprint
             // calibration key — one spelling, three consumers.
             let key = PlanCache::chain_key(&ie, self.strict);
-            fp_keys.push(key.clone());
+            low.fp_keys.push(key.clone());
             // Scoped keys are not RIG nodes; skip optimization for runs
             // containing them (they are already short).
             let has_scoped = ie.names().iter().any(|n| n.contains('.'));
@@ -746,8 +761,14 @@ impl<'a> Planner<'a> {
             // a fresh lowering would produce.
             let cache_key = self.plan_cache.map(|_| key.clone());
             if let (Some(pc), Some(key)) = (self.plan_cache, cache_key.as_deref()) {
-                if let Some(cached) = pc.get(key) {
-                    rewrites.extend(cached.rewrites);
+                let hit = pc.get(key);
+                if hit.is_some() {
+                    low.plan_cache_hits += 1;
+                } else {
+                    low.plan_cache_misses += 1;
+                }
+                if let Some(cached) = hit {
+                    low.rewrites.extend(cached.rewrites);
                     empty |= cached.empty;
                     optimized_runs.push(cached.expr);
                     continue;
@@ -806,7 +827,7 @@ impl<'a> Planner<'a> {
                     },
                 );
             }
-            rewrites.extend(run_rewrites);
+            low.rewrites.extend(run_rewrites);
             empty |= run_empty;
             optimized_runs.push(chosen);
         }

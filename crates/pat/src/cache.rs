@@ -1,13 +1,11 @@
 //! A shared, thread-safe subexpression cache: the cross-query realization of
 //! §5.2's common-subexpression sharing. Within one `eval` call the engine
 //! already shares identical subtrees; this cache extends the sharing across
-//! queries of a batch (and across shard workers), so repeated chain prefixes
-//! — the pattern the `a1` ablation measures — are computed once.
+//! queries, so repeated chain prefixes — the pattern the `a1` ablation
+//! measures — are computed once.
 //!
-//! Keys are `(scope, normalized RegionExpr)`: scoped (per-shard) engines and
-//! the global engine never alias each other's entries, and commutative
-//! spellings (`A ∪ B` vs `B ∪ A`) collapse to one entry via
-//! [`RegionExpr::normalized`].
+//! Keys are normalized [`RegionExpr`]s: commutative spellings (`A ∪ B` vs
+//! `B ∪ A`) collapse to one entry via [`RegionExpr::normalized`].
 //!
 //! The cache is bounded. A long-running `qof serve` process with a diverse
 //! query stream would otherwise grow it without limit (every distinct
@@ -19,7 +17,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use qof_text::{Pos, Span};
+use qof_text::Pos;
 
 use crate::{RegionExpr, RegionSet};
 
@@ -28,12 +26,6 @@ pub const DEFAULT_MAX_ENTRIES: usize = 8192;
 
 /// Default cap on approximate resident bytes (64 MiB).
 pub const DEFAULT_MAX_BYTES: usize = 64 << 20;
-
-/// Scope component of a cache key; `None` (unscoped) maps to the full
-/// address space so it can never collide with a real shard span.
-fn scope_key(scope: Option<&Span>) -> (Pos, Pos) {
-    scope.map_or((0, Pos::MAX), |s| (s.start, s.end))
-}
 
 /// Approximate resident size of one cached region set: the region pairs
 /// plus a flat per-entry overhead for the key and map bookkeeping.
@@ -58,19 +50,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Merges a per-shard stats block into this one. Hit, miss, and
-    /// eviction counts sum losslessly; `entries`/`approx_bytes` are gauges,
-    /// not counters — shard workers share one cache, so concurrent
-    /// snapshots see (at most) the same resident set and the merged block
-    /// keeps the largest observation.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.entries = self.entries.max(other.entries);
-        self.approx_bytes = self.approx_bytes.max(other.approx_bytes);
-    }
-
     /// Fraction of lookups answered from the cache (0 when never consulted).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -85,16 +64,15 @@ impl CacheStats {
     }
 }
 
-/// The lock-guarded resident state: the two-level map plus the FIFO
-/// insertion order the evictor walks and the byte gauge.
+/// The lock-guarded resident state: the map plus the FIFO insertion order
+/// the evictor walks and the byte gauge.
 #[derive(Debug, Default)]
 struct Resident {
-    // Two-level map so lookups can probe by `&RegionExpr` without cloning.
-    map: HashMap<(Pos, Pos), HashMap<RegionExpr, RegionSet>>,
-    /// Insertion order of `(scope, expr)` keys, oldest first. Replaced
-    /// entries keep their original position (they are re-counted, not
-    /// re-queued), so the queue length always equals the entry count.
-    order: VecDeque<((Pos, Pos), RegionExpr)>,
+    map: HashMap<RegionExpr, RegionSet>,
+    /// Insertion order of keys, oldest first. Replaced entries keep their
+    /// original position (they are re-counted, not re-queued), so the
+    /// queue length always equals the entry count.
+    order: VecDeque<RegionExpr>,
     approx_bytes: usize,
 }
 
@@ -108,25 +86,20 @@ impl Resident {
     fn evict_to(&mut self, max_entries: usize, max_bytes: usize) -> u64 {
         let mut evicted = 0;
         while self.entries() > max_entries || self.approx_bytes > max_bytes {
-            let Some((scope, expr)) = self.order.pop_front() else { break };
-            if let Some(inner) = self.map.get_mut(&scope) {
-                if let Some(set) = inner.remove(&expr) {
-                    self.approx_bytes = self.approx_bytes.saturating_sub(entry_bytes(&set));
-                    evicted += 1;
-                }
-                if inner.is_empty() {
-                    self.map.remove(&scope);
-                }
+            let Some(expr) = self.order.pop_front() else { break };
+            if let Some(set) = self.map.remove(&expr) {
+                self.approx_bytes = self.approx_bytes.saturating_sub(entry_bytes(&set));
+                evicted += 1;
             }
         }
         evicted
     }
 }
 
-/// A thread-safe, bounded map from `(scope, normalized expression)` to its
-/// evaluated region set. Shared by reference across shard workers and
-/// batched queries; the owner (e.g. `FileDatabase`) must clear it whenever
-/// the underlying corpus or instance changes.
+/// A thread-safe, bounded map from a normalized expression to its
+/// evaluated region set. Shared by reference across the engines of
+/// concurrent queries; the owner (e.g. `FileDatabase`) must clear it
+/// whenever the underlying corpus or instance changes.
 #[derive(Debug)]
 pub struct SubexprCache {
     resident: Mutex<Resident>,
@@ -163,11 +136,10 @@ impl SubexprCache {
         }
     }
 
-    /// Looks up a normalized expression under a scope, counting the outcome.
-    pub fn get(&self, scope: Option<&Span>, expr: &RegionExpr) -> Option<RegionSet> {
-        let key = scope_key(scope);
+    /// Looks up a normalized expression, counting the outcome.
+    pub fn get(&self, expr: &RegionExpr) -> Option<RegionSet> {
         let resident = self.resident.lock().expect("cache lock poisoned");
-        match resident.map.get(&key).and_then(|m| m.get(expr)) {
+        match resident.map.get(expr) {
             Some(set) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(set.clone())
@@ -181,23 +153,25 @@ impl SubexprCache {
 
     /// Stores an evaluated result (last writer wins on races; results for
     /// the same key are identical by construction), evicting oldest
-    /// entries if the insert pushed the cache past its caps.
-    pub fn insert(&self, scope: Option<&Span>, expr: RegionExpr, set: RegionSet) {
-        let key = scope_key(scope);
+    /// entries if the insert pushed the cache past its caps. Returns how
+    /// many entries this insert evicted, so callers can attribute
+    /// evictions to the query that caused them.
+    pub fn insert(&self, expr: RegionExpr, set: RegionSet) -> u64 {
         let added = entry_bytes(&set);
         let mut resident = self.resident.lock().expect("cache lock poisoned");
-        match resident.map.entry(key).or_default().insert(expr.clone(), set) {
+        match resident.map.insert(expr.clone(), set) {
             Some(old) => {
                 // Replacement: adjust the byte gauge, keep the queue slot.
                 resident.approx_bytes = resident.approx_bytes.saturating_sub(entry_bytes(&old));
             }
-            None => resident.order.push_back((key, expr)),
+            None => resident.order.push_back(expr),
         }
         resident.approx_bytes += added;
         let evicted = resident.evict_to(self.max_entries, self.max_bytes);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
+        evicted
     }
 
     /// Current counters and size.
@@ -236,9 +210,9 @@ mod tests {
     fn get_insert_roundtrip_counts() {
         let cache = SubexprCache::new();
         let e = RegionExpr::name("A").union(RegionExpr::name("B")).normalized();
-        assert_eq!(cache.get(None, &e), None);
-        cache.insert(None, e.clone(), rs(&[(0, 5)]));
-        assert_eq!(cache.get(None, &e), Some(rs(&[(0, 5)])));
+        assert_eq!(cache.get(&e), None);
+        cache.insert(e.clone(), rs(&[(0, 5)]));
+        assert_eq!(cache.get(&e), Some(rs(&[(0, 5)])));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries, s.evictions), (1, 1, 1, 0));
         assert!(s.approx_bytes > 0);
@@ -246,21 +220,10 @@ mod tests {
     }
 
     #[test]
-    fn scopes_do_not_alias() {
-        let cache = SubexprCache::new();
-        let e = RegionExpr::name("A");
-        cache.insert(Some(&(0..10)), e.clone(), rs(&[(0, 5)]));
-        cache.insert(Some(&(10..20)), e.clone(), rs(&[(12, 15)]));
-        assert_eq!(cache.get(Some(&(0..10)), &e), Some(rs(&[(0, 5)])));
-        assert_eq!(cache.get(Some(&(10..20)), &e), Some(rs(&[(12, 15)])));
-        assert_eq!(cache.get(None, &e), None);
-    }
-
-    #[test]
     fn clear_resets_everything() {
         let cache = SubexprCache::new();
-        cache.insert(None, RegionExpr::name("A"), rs(&[(0, 1)]));
-        let _ = cache.get(None, &RegionExpr::name("A"));
+        cache.insert(RegionExpr::name("A"), rs(&[(0, 1)]));
+        let _ = cache.get(&RegionExpr::name("A"));
         cache.clear();
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries, s.evictions), (0, 0, 0, 0));
@@ -269,41 +232,28 @@ mod tests {
     }
 
     #[test]
-    fn stats_merge_sums_counters_losslessly() {
-        let a = CacheStats { hits: 3, misses: 2, entries: 7, evictions: 1, approx_bytes: 100 };
-        let b = CacheStats { hits: 5, misses: 0, entries: 4, evictions: 2, approx_bytes: 300 };
-        let mut m = a;
-        m.merge(&b);
-        assert_eq!((m.hits, m.misses), (8, 2), "hit/miss counters must sum, not overwrite");
-        assert_eq!(m.evictions, 3, "evictions is a counter: it sums");
-        assert_eq!(m.entries, 7, "entries is a shared gauge: keep the max, never sum shards");
-        assert_eq!(m.approx_bytes, 300, "bytes is a shared gauge too");
-        assert!((m.hit_rate() - 0.8).abs() < f64::EPSILON);
-    }
-
-    #[test]
     fn commutative_spellings_share_entries() {
         let cache = SubexprCache::new();
         let ab = RegionExpr::name("A").union(RegionExpr::name("B")).normalized();
         let ba = RegionExpr::name("B").union(RegionExpr::name("A")).normalized();
-        cache.insert(None, ab, rs(&[(0, 1)]));
-        assert_eq!(cache.get(None, &ba), Some(rs(&[(0, 1)])));
+        cache.insert(ab, rs(&[(0, 1)]));
+        assert_eq!(cache.get(&ba), Some(rs(&[(0, 1)])));
     }
 
     #[test]
     fn entry_cap_evicts_oldest_first() {
         let cache = SubexprCache::with_limits(3, usize::MAX);
         for i in 0..5u32 {
-            cache.insert(None, RegionExpr::name(format!("A{i}")), rs(&[(i, i + 1)]));
+            cache.insert(RegionExpr::name(format!("A{i}")), rs(&[(i, i + 1)]));
         }
         let s = cache.stats();
         assert_eq!(s.entries, 3, "cap holds");
         assert_eq!(s.evictions, 2, "two oldest entries evicted");
         // A0/A1 are gone, A2..A4 survive.
-        assert_eq!(cache.get(None, &RegionExpr::name("A0")), None);
-        assert_eq!(cache.get(None, &RegionExpr::name("A1")), None);
+        assert_eq!(cache.get(&RegionExpr::name("A0")), None);
+        assert_eq!(cache.get(&RegionExpr::name("A1")), None);
         for i in 2..5u32 {
-            assert!(cache.get(None, &RegionExpr::name(format!("A{i}"))).is_some(), "A{i} resident");
+            assert!(cache.get(&RegionExpr::name(format!("A{i}"))).is_some(), "A{i} resident");
         }
     }
 
@@ -313,7 +263,7 @@ mod tests {
         // 200 bytes holds at most two small entries.
         let cache = SubexprCache::with_limits(usize::MAX, 200);
         for i in 0..4u32 {
-            cache.insert(None, RegionExpr::name(format!("B{i}")), rs(&[(i, i + 1)]));
+            cache.insert(RegionExpr::name(format!("B{i}")), rs(&[(i, i + 1)]));
         }
         let s = cache.stats();
         assert!(s.entries <= 2, "byte cap binds: {} entries", s.entries);
@@ -325,12 +275,12 @@ mod tests {
     fn replacement_does_not_grow_entries_or_leak_bytes() {
         let cache = SubexprCache::with_limits(8, usize::MAX);
         let e = RegionExpr::name("A");
-        cache.insert(None, e.clone(), rs(&[(0, 1), (2, 3), (4, 5)]));
+        cache.insert(e.clone(), rs(&[(0, 1), (2, 3), (4, 5)]));
         let big = cache.stats().approx_bytes;
-        cache.insert(None, e.clone(), rs(&[(0, 1)]));
+        cache.insert(e.clone(), rs(&[(0, 1)]));
         let s = cache.stats();
         assert_eq!(s.entries, 1, "replacement reuses the slot");
         assert!(s.approx_bytes < big, "byte gauge shrinks with the smaller value");
-        assert_eq!(cache.get(None, &e), Some(rs(&[(0, 1)])), "last writer wins");
+        assert_eq!(cache.get(&e), Some(rs(&[(0, 1)])), "last writer wins");
     }
 }

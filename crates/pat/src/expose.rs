@@ -17,6 +17,7 @@
 use std::fmt::Write as _;
 
 use crate::history::HistorySample;
+use crate::json;
 use crate::slo::{SloSpec, SloStatus};
 use crate::trace::{Histogram, MetricsSnapshot};
 use crate::workload::WorkloadEntry;
@@ -32,25 +33,6 @@ fn esc_label(s: &str) -> String {
             '\\' => out.push_str("\\\\"),
             '"' => out.push_str("\\\""),
             '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Escapes a string for a JSON literal.
-fn esc_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
             c => out.push(c),
         }
     }
@@ -187,7 +169,7 @@ pub fn snapshot_to_json(snap: &MetricsSnapshot) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":{bytes}", esc_json(backend));
+        let _ = write!(out, "\"{}\":{bytes}", json::escape(backend));
     }
     let _ = write!(out, "}},\"corpus_bytes\":{}", snap.corpus_bytes);
     let _ = write!(out, ",\"query_latency\":{}", histogram_json(&snap.query_latency));
@@ -196,7 +178,7 @@ pub fn snapshot_to_json(snap: &MetricsSnapshot) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":{}", esc_json(op), histogram_json(h));
+        let _ = write!(out, "\"{}\":{}", json::escape(op), histogram_json(h));
     }
     out.push_str("}}");
     out
@@ -255,7 +237,7 @@ pub fn render_slo_prometheus(spec: &SloSpec, status: &SloStatus) -> String {
 
 /// One [`SloStatus`] as a JSON object (embedded in the history envelope).
 fn slo_status_json(spec: &SloSpec, status: &SloStatus) -> String {
-    let mut out = format!("{{\"declared\":\"{}\"", esc_json(&spec.describe()));
+    let mut out = format!("{{\"declared\":\"{}\"", json::escape(&spec.describe()));
     for (name, obj) in [("latency", status.latency.as_ref()), ("error", status.error.as_ref())] {
         if let Some(o) = obj {
             let _ = write!(
@@ -334,7 +316,7 @@ pub fn workload_to_json(entries: &[WorkloadEntry], capacity: usize) -> String {
              \"cache_hits\":{},\"cache_misses\":{},\
              \"worst_est_ratio\":{},\"worst_est_trace\":{},\"latency\":{}}}",
             e.fingerprint,
-            esc_json(&e.exemplar),
+            json::escape(&e.exemplar),
             e.hits,
             e.overcount,
             e.errors,

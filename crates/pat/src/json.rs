@@ -1,5 +1,5 @@
-//! A minimal, dependency-free JSON reader shared by every surface that
-//! consumes this workspace's own JSON writers: the trace round trip
+//! A minimal, dependency-free JSON reader — and the one string escaper —
+//! shared by every surface that consumes this workspace's own JSON writers: the trace round trip
 //! (`--trace-json` / `QueryTrace::from_json`), the bench harness, and the
 //! `qof top` dashboard scraping `/metrics?format=json` and
 //! `/metrics/history`.
@@ -81,6 +81,29 @@ impl Json {
             _ => None,
         }
     }
+}
+
+/// Escapes a string for a JSON string literal (without the surrounding
+/// quotes): `"`, `\` and control characters; everything else, non-ASCII
+/// included, passes through. Every JSON writer in the workspace uses this,
+/// so [`Json::parse`] reads back exactly what was written.
+pub fn escape(s: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Looks up `key` in an object's fields.
@@ -363,5 +386,12 @@ mod tests {
     fn string_escapes_round_trip() {
         let parsed = Json::parse("\"a\\u0041⊃\\n\"").unwrap();
         assert_eq!(parsed, Json::Str("aA⊃\n".into()));
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}\r\t"), "\\u0001\\r\\t");
+        assert_eq!(escape("⊃d"), "⊃d");
+        // Whatever the writer escapes, the reader restores.
+        let nasty = "q\"uote \\ back\nline\ttab\r\u{1}\u{1f} ⊃ σ_\"1982\"";
+        let doc = format!("\"{}\"", escape(nasty));
+        assert_eq!(Json::parse(&doc).unwrap(), Json::Str(nasty.into()));
     }
 }

@@ -61,14 +61,12 @@ impl CacheSource {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpTrace {
     /// Span id, unique within one trace. The sink assigns ids in `enter`
-    /// order starting from 1; when a query trace is assembled from several
-    /// sinks (main engine + shards) the assembler renumbers them so the
-    /// whole trace stays collision-free. 0 means "never stamped".
+    /// order starting from 1, which is a pre-order numbering of the span
+    /// forest. 0 means "never stamped".
     pub span_id: u64,
     /// Start of this span on the sink's monotonic timeline: nanoseconds
-    /// since the sink's origin instant. Spans recorded by sinks sharing an
-    /// origin (the executor hands one to every shard) are directly
-    /// comparable.
+    /// since the sink's origin instant (the executor hands its own start
+    /// instant to the sink, so spans and phases share one timeline).
     pub start_nanos: u64,
     /// Operator label: the algebra symbol (`⊃`, `σ`, `∪`, …) or the leaf
     /// kind (`name`, `word`, `prefix`), matching the keys of
@@ -149,9 +147,8 @@ impl OpTrace {
 /// `start_nanos`, `exit`/`exit_with` stamp the duration from the matching
 /// `enter`. Because the engine is single-threaded per sink, this makes the
 /// span-tree invariants true *by construction*: every child interval nests
-/// within its parent and sibling spans never overlap. Shard workers each
-/// attach their own sink; handing every sink the same origin instant
-/// ([`TraceSink::with_origin`]) puts all spans on one shared timeline.
+/// within its parent and sibling spans never overlap.
+/// [`TraceSink::with_origin`] puts the spans on a caller's timeline.
 #[derive(Debug)]
 pub struct TraceSink {
     frames: RefCell<Vec<Vec<OpTrace>>>,
@@ -175,8 +172,8 @@ impl TraceSink {
     }
 
     /// An empty sink stamping spans relative to `origin` — the executor
-    /// hands one origin to the main engine's sink and every shard's sink
-    /// so all spans of one query share a timeline.
+    /// hands it the instant execution began, so the engine's spans and
+    /// the executor's phases share one timeline.
     pub fn with_origin(origin: Instant) -> Self {
         Self {
             frames: RefCell::new(vec![Vec::new()]),

@@ -12,7 +12,7 @@ use qof::corpus::bibtex::{self, BibtexConfig};
 use qof::corpus::logs::{self, LogConfig};
 use qof::grammar::IndexSpec;
 use qof::text::{Corpus, CorpusBuilder};
-use qof::{ExecOptions, FileDatabase, QueryResult};
+use qof::{FileDatabase, QueryResult};
 
 /// A multi-file BibTeX corpus: `files` files with distinct seeds derived
 /// from `seed`, `refs` references each.
@@ -81,22 +81,21 @@ proptest! {
         seed in 0u64..4,
         files in 1usize..5,
         qi in 0usize..9,
-        threads in 1usize..4,
         cache in proptest::bool::ANY,
     ) {
         let corpus = bibtex_corpus(files, 12, seed);
         let q = bibtex_queries()[qi];
         let mem = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full())
             .unwrap()
-            .with_exec_options(ExecOptions { threads, cache });
-        let path = scratch("shape", seed * 1000 + qi as u64 * 10 + threads as u64);
+            .with_subexpr_cache(cache);
+        let path = scratch("shape", seed * 1000 + qi as u64 * 10 + u64::from(cache));
         mem.persist(&path).unwrap();
         let qofx = FileDatabase::open(&path, bibtex::schema())
             .unwrap()
-            .with_exec_options(ExecOptions { threads, cache });
+            .with_subexpr_cache(cache);
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(qofx.backend_label(), "qofx");
-        let ctx = format!("{q} (files={files}, threads={threads}, cache={cache})");
+        let ctx = format!("{q} (files={files}, cache={cache})");
         let (ra, ta) = mem.query_traced(q).unwrap();
         let (rb, tb) = qofx.query_traced(q).unwrap();
         assert_same(&ra, &rb, &ctx)?;

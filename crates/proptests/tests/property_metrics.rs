@@ -2,8 +2,8 @@
 //! `/metrics` and `qof stats`. Quantiles must be monotone in `q` and
 //! bounded by the recorded extremes' bucket bounds; merging histograms
 //! must be exactly equivalent to recording the union of their samples
-//! (the shard workers' merge path); and the Prometheus rendering must
-//! stay cumulative with the `+Inf` bucket carrying the total.
+//! (the metrics-history window's merge path); and the Prometheus rendering
+//! must stay cumulative with the `+Inf` bucket carrying the total.
 
 use proptest::prelude::*;
 use qof::pat::{render_prometheus, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};

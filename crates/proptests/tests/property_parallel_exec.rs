@@ -1,16 +1,14 @@
-//! Parallel-execution property tests: sharded, multi-threaded, and cached
-//! query evaluation must be byte-identical to plain sequential evaluation —
-//! over random corpora, schemas, thread counts, and batch shapes. This is
-//! the correctness contract of the shard-parallel layer (per-shard results
-//! concatenate losslessly because regions never cross file boundaries) and
-//! of the engine-level subexpression cache (§5.2 sharing).
+//! Subexpression-cache property tests: cached query evaluation must be
+//! byte-identical to uncached evaluation — over random corpora, schemas
+//! and queries, on a cold and on a warm cache. This is the correctness
+//! contract of the engine-level subexpression cache (§5.2 sharing).
 
 use proptest::prelude::*;
 use qof::corpus::bibtex::{self, BibtexConfig};
 use qof::corpus::logs::{self, LogConfig};
 use qof::grammar::IndexSpec;
 use qof::text::{Corpus, CorpusBuilder};
-use qof::{ExecOptions, FileDatabase, QueryResult};
+use qof::{FileDatabase, QueryResult};
 
 /// A multi-file BibTeX corpus: `files` files with distinct seeds derived
 /// from `seed`, `refs` references each.
@@ -61,62 +59,34 @@ fn assert_same(a: &QueryResult, b: &QueryResult, ctx: &str) -> Result<(), TestCa
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Shard-parallel evaluation with any thread count returns exactly the
-    /// sequential answer, with and without the subexpression cache.
+    /// Cached evaluation returns exactly the uncached answer, on the first
+    /// (cold) and the repeated (warm) run.
     #[test]
-    fn parallel_and_cached_match_sequential(
+    fn cached_matches_uncached(
         seed in 0u64..5,
         files in 1usize..6,
-        threads in 2usize..9,
         qi in 0usize..9,
-        cache in proptest::bool::ANY,
     ) {
         let corpus = bibtex_corpus(files, 12, seed);
         let q = bibtex_queries()[qi];
-        let seq = FileDatabase::build(corpus.clone(), bibtex::schema(), IndexSpec::full())
+        let plain = FileDatabase::build(corpus.clone(), bibtex::schema(), IndexSpec::full())
             .unwrap();
-        let par = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full())
+        let cached = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full())
             .unwrap()
-            .with_exec_options(ExecOptions { threads, cache });
-        let a = seq.query(q).unwrap();
+            .with_subexpr_cache(true);
+        let a = plain.query(q).unwrap();
         // Twice, so the second run replays through a warm cache.
-        let b1 = par.query(q).unwrap();
-        let b2 = par.query(q).unwrap();
-        let ctx = format!("{q} (files={files}, threads={threads}, cache={cache})");
+        let b1 = cached.query(q).unwrap();
+        let b2 = cached.query(q).unwrap();
+        let ctx = format!("{q} (files={files})");
         assert_same(&a, &b1, &ctx)?;
         assert_same(&a, &b2, &ctx)?;
     }
 
-    /// Batched `query_many` equals query-by-query, in order, regardless of
-    /// worker count, caching, or batch composition.
+    /// The same contract on a second schema, partial index included.
     #[test]
-    fn query_many_matches_sequential_queries(
+    fn cached_matches_uncached_on_logs_schema(
         seed in 0u64..4,
-        threads in 1usize..6,
-        cache in proptest::bool::ANY,
-        picks in proptest::collection::vec(0usize..9, 1..7),
-    ) {
-        let corpus = bibtex_corpus(3, 10, seed);
-        let pool = bibtex_queries();
-        let batch: Vec<&str> = picks.iter().map(|&i| pool[i]).collect();
-        let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full())
-            .unwrap()
-            .with_exec_options(ExecOptions { threads, cache });
-        let got = db.query_many(&batch);
-        prop_assert_eq!(got.len(), batch.len());
-        for (q, r) in batch.iter().zip(&got) {
-            let want = db.query(q).unwrap();
-            let ctx = format!("{q} (threads={threads}, cache={cache})");
-            assert_same(r.as_ref().unwrap(), &want, &ctx)?;
-        }
-    }
-
-    /// The same contract on a second schema (partial index included): the
-    /// shard decomposition must not depend on the grammar.
-    #[test]
-    fn parallel_matches_sequential_on_logs_schema(
-        seed in 0u64..4,
-        threads in 2usize..7,
         partial in proptest::bool::ANY,
     ) {
         let mut b = CorpusBuilder::new();
@@ -136,11 +106,13 @@ proptest! {
             IndexSpec::full()
         };
         let q = "SELECT s FROM Sessions s WHERE s.Requests.Request.Status = \"500\"";
-        let seq = FileDatabase::build(corpus.clone(), logs::schema(), spec.clone()).unwrap();
-        let par = FileDatabase::build(corpus, logs::schema(), spec)
+        let plain = FileDatabase::build(corpus.clone(), logs::schema(), spec.clone()).unwrap();
+        let cached = FileDatabase::build(corpus, logs::schema(), spec)
             .unwrap()
-            .with_exec_options(ExecOptions { threads, cache: true });
-        let ctx = format!("logs (threads={threads}, partial={partial})");
-        assert_same(&seq.query(q).unwrap(), &par.query(q).unwrap(), &ctx)?;
+            .with_subexpr_cache(true);
+        let ctx = format!("logs (partial={partial})");
+        for _ in 0..2 {
+            assert_same(&plain.query(q).unwrap(), &cached.query(q).unwrap(), &ctx)?;
+        }
     }
 }

@@ -13,8 +13,6 @@ use std::path::{Path, PathBuf};
 use qof_pat::json::{self, Json};
 use qof_pat::{workload_to_json, WorkloadObs, WorkloadTable};
 
-use crate::http::esc_json;
-
 /// Schema version of the `qof qlog analyze --json` envelope.
 pub const QLOG_REPORT_SCHEMA_VERSION: u64 = 1;
 
@@ -239,7 +237,7 @@ pub fn report_json(report: &QlogReport) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\"", esc_json(&file.display().to_string()));
+        let _ = write!(out, "\"{}\"", json::escape(&file.display().to_string()));
     }
     let _ = write!(
         out,

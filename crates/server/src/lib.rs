@@ -49,7 +49,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use qof_core::{trace_to_perfetto, traces_to_perfetto, FileDatabase};
 pub use qof_pat::SloSpec;
 use qof_pat::{
-    history_to_json, render_prometheus, render_slo_prometheus, render_workload_prometheus,
+    history_to_json, json, render_prometheus, render_slo_prometheus, render_workload_prometheus,
     snapshot_to_json, workload_to_json, MetricsRegistry,
 };
 
@@ -57,7 +57,7 @@ pub use analyzer::{
     analyze_qlog, render_report, report_json, QlogReport, QLOG_REPORT_SCHEMA_VERSION,
 };
 pub use http::Client;
-use http::{esc_json, read_request, write_response, Request, RequestError};
+use http::{read_request, write_response, Request, RequestError};
 pub use qlog::{error_line, normalize_query, success_line, warn_line, QueryLog, DEFAULT_QLOG_KEEP};
 pub use recorder::FlightRecorder;
 
@@ -291,7 +291,7 @@ fn handle_connection(state: &State, stream: TcpStream) {
             // just its connection back. The thread frees itself.
             Err(RequestError::TimedOut) => return,
             Err(RequestError::Malformed(e)) => {
-                let body = format!("{{\"error\":\"{}\"}}", esc_json(&e));
+                let body = format!("{{\"error\":\"{}\"}}", json::escape(&e));
                 let _ = write_response(&mut stream, 400, "application/json", &body, false);
                 return;
             }
@@ -393,7 +393,7 @@ fn handle_history(state: &State, req: &Request) -> (u16, &'static str, String) {
                 return (
                     400,
                     JSON,
-                    format!("{{\"error\":\"bad window `{}`: want seconds\"}}", esc_json(raw)),
+                    format!("{{\"error\":\"bad window `{}`: want seconds\"}}", json::escape(raw)),
                 )
             }
         },
@@ -450,7 +450,7 @@ fn handle_query(state: &State, req: &Request) -> (u16, &'static str, String) {
                     body.push(',');
                 }
                 body.push('"');
-                body.push_str(&esc_json(&v.to_string()));
+                body.push_str(&json::escape(&v.to_string()));
                 body.push('"');
             }
             body.push(']');
@@ -465,7 +465,7 @@ fn handle_query(state: &State, req: &Request) -> (u16, &'static str, String) {
             let msg = e.to_string();
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             state.log.log_error(id, src, &msg, nanos);
-            (400, JSON, format!("{{\"id\":{id},\"error\":\"{}\"}}", esc_json(&msg)))
+            (400, JSON, format!("{{\"id\":{id},\"error\":\"{}\"}}", json::escape(&msg)))
         }
     }
 }

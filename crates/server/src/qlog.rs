@@ -22,7 +22,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 use qof_core::QueryTrace;
 
-use crate::http::esc_json;
+use qof_pat::json;
 
 /// Rotated files kept around (`query.log.1` … `query.log.N`).
 pub const DEFAULT_QLOG_KEEP: usize = 3;
@@ -49,7 +49,7 @@ pub fn success_line(trace: &QueryTrace, ts_ms: u128) -> String {
          \"plan_cache_hits\":{},\"plan_cache_misses\":{},\"exact_index\":{}}}",
         trace.id,
         trace.fingerprint,
-        esc_json(&normalize_query(&trace.query)),
+        json::escape(&normalize_query(&trace.query)),
         trace.total_nanos,
         trace.bytes_touched,
         trace.candidates,
@@ -70,15 +70,15 @@ pub fn error_line(id: u64, query: &str, error: &str, total_nanos: u64, ts_ms: u1
         "{{\"ts_ms\":{ts_ms},\"id\":{id},\"fp\":\"{:016x}\",\"query\":\"{}\",\
          \"outcome\":\"error\",\"error\":\"{}\",\"total_nanos\":{total_nanos}}}",
         0u64,
-        esc_json(&normalize_query(query)),
-        esc_json(error),
+        json::escape(&normalize_query(query)),
+        json::escape(error),
     )
 }
 
 /// The warning line for an operational event (no trailing newline) — not
 /// a query, so it never advances the query-line counter.
 pub fn warn_line(message: &str, ts_ms: u128) -> String {
-    format!("{{\"ts_ms\":{ts_ms},\"level\":\"warn\",\"message\":\"{}\"}}", esc_json(message))
+    format!("{{\"ts_ms\":{ts_ms},\"level\":\"warn\",\"message\":\"{}\"}}", json::escape(message))
 }
 
 /// Where log lines go: a plain stream, or a size-capped rotating file.

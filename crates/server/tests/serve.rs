@@ -40,7 +40,7 @@ fn healthz_metrics_and_query_roundtrip() {
     assert_eq!(status, 200);
     assert!(body.contains("\"id\":2"), "{body}");
     assert!(body.contains("\"trace\":{"), "{body}");
-    assert!(body.contains("\"schema_version\":6"), "{body}");
+    assert!(body.contains("\"schema_version\":7"), "{body}");
     // v4+: estimated-vs-actual cardinalities and plan-cache counters ride
     // along in every explain response.
     assert!(body.contains("\"estimates\":["), "{body}");
@@ -241,7 +241,7 @@ fn history_slo_and_perfetto_endpoints() {
     assert!(body.contains("\"process_name\"") && body.contains("query 1:"), "{body}");
     let (status, body) = client.get("/flight-recorder/1").unwrap();
     assert_eq!(status, 200);
-    assert!(body.contains("\"schema_version\":6"), "{body}");
+    assert!(body.contains("\"schema_version\":7"), "{body}");
     let (status, _) = client.get("/flight-recorder/999").unwrap();
     assert_eq!(status, 404);
     let (status, _) = client.get("/flight-recorder/xyz").unwrap();

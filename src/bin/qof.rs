@@ -11,16 +11,15 @@
 //!
 //! Built-in structuring schemas: `bibtex`, `mail`, `logs`, `sgml`, `code`
 //! (see `qof::corpus` for the formats). Pass `--index A,B,C` before the
-//! query to use a partial region index instead of full indexing,
-//! `--threads N` to evaluate the index phase shard-parallel over the
-//! files, and `--cache` to share subexpression results across the run.
+//! query to use a partial region index instead of full indexing, and
+//! `--cache` to share subexpression results across the run.
 
 use std::process::ExitCode;
 
 use qof::corpus::{bibtex, code, logs, mail, sgml};
 use qof::grammar::{IndexSpec, StructuringSchema};
 use qof::text::{Corpus, CorpusBuilder};
-use qof::{advise, advise_costed, parse_query, ExecOptions, FileDatabase, Rig, Severity};
+use qof::{advise, advise_costed, parse_query, FileDatabase, Rig, Severity};
 
 fn schema_by_name(name: &str) -> Option<StructuringSchema> {
     Some(match name {
@@ -49,13 +48,13 @@ fn usage() -> ExitCode {
         "usage:\n  \
          qof generate <schema> <count>\n  \
          qof rig <schema> [indexed,names]\n  \
-         qof query   <schema> [--index A,B,C] [--from-index F.qofx] [--threads N] [--cache]\n              \
-         [--strict] [--explain-analyze] [--trace-json FILE] [--trace-perfetto FILE]\n              \
+         qof query   <schema> [--index A,B,C] [--from-index F.qofx] [--cache] [--strict]\n              \
+         [--explain-analyze] [--trace-json FILE] [--trace-perfetto FILE]\n              \
          [<file>...] <query>\n  \
          qof explain <schema> [--index A,B,C] [--from-index F.qofx] [<file>...] <query>\n  \
-         qof stats   <schema> [--index A,B,C] [--from-index F.qofx] [--threads N] [--cache]\n              \
+         qof stats   <schema> [--index A,B,C] [--from-index F.qofx] [--cache]\n              \
          [--json] [--history] [--workload] [<file>...] <query>...\n  \
-         qof serve   <schema> [--index A,B,C] [--from-index F.qofx] [--threads N] [--cache]\n              \
+         qof serve   <schema> [--index A,B,C] [--from-index F.qofx] [--cache]\n              \
          [--port P] [--log FILE] [--qlog-max-bytes N] [--slow-ms MS] [--recorder N]\n              \
          [--timeout-ms MS] [--history-interval-ms MS] [--slo p95=50ms,err=0.1%] [<file>...]\n  \
          qof top     [--host H] [--port P] [--interval-ms MS] [--frames N] [--once]\n  \
@@ -134,7 +133,6 @@ fn run_stats(
     rest: Vec<String>,
     index: Option<&str>,
     from_index: Option<&str>,
-    threads: usize,
     cache: bool,
     json: bool,
     history: bool,
@@ -145,8 +143,7 @@ fn run_stats(
     if (files.is_empty() && from_index.is_none()) || queries.is_empty() {
         return Ok(usage());
     }
-    let db = load_db(schema, &files, index, from_index)?
-        .with_exec_options(ExecOptions { threads: threads.max(1), cache });
+    let db = load_db(schema, &files, index, from_index)?.with_subexpr_cache(cache);
     let registry = qof::pat::MetricsRegistry::global();
     for q in &queries {
         if let Err(e) = db.query_traced(q) {
@@ -294,7 +291,6 @@ fn run_serve(
     files: &[String],
     index: Option<&str>,
     from_index: Option<&str>,
-    threads: usize,
     cache: bool,
     opts: &ServeOpts,
 ) -> Result<ExitCode, String> {
@@ -307,8 +303,7 @@ fn run_serve(
         Some(spec) => Some(SloSpec::parse(spec).map_err(|e| format!("--slo: {e}"))?),
     };
     let started = std::time::Instant::now();
-    let db = load_db(schema, files, index, from_index)?
-        .with_exec_options(ExecOptions { threads: threads.max(1), cache });
+    let db = load_db(schema, files, index, from_index)?.with_subexpr_cache(cache);
     eprintln!(
         "qof serve: {} backend ready in {:.1}ms ({} index bytes)",
         db.backend_label(),
@@ -586,24 +581,6 @@ fn top_frame(client: &mut qof::server::Client, base: &str, frame: u64) -> Result
     Ok(out)
 }
 
-/// Minimal JSON string escaping for the `check --json` envelope (query
-/// strings only — diagnostics serialize themselves).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Human-scaled duration (histogram quantiles are bucket upper bounds).
 #[allow(clippy::cast_precision_loss)]
 fn fmt_nanos(n: u64) -> String {
@@ -653,7 +630,6 @@ fn run() -> Result<ExitCode, String> {
             let mut rest: Vec<String> = args[2..].to_vec();
             let mut index: Option<String> = None;
             let mut from_index: Option<String> = None;
-            let mut threads: usize = 1;
             let mut cache = false;
             let mut strict = false;
             let mut explain_analyze = false;
@@ -684,15 +660,6 @@ fn run() -> Result<ExitCode, String> {
                             return Ok(usage());
                         }
                         from_index = Some(rest[1].clone());
-                        rest.drain(..2);
-                    }
-                    Some("--threads") => {
-                        if rest.len() < 2 {
-                            return Ok(usage());
-                        }
-                        threads = rest[1]
-                            .parse()
-                            .map_err(|_| "--threads needs a positive number".to_owned())?;
                         rest.drain(..2);
                     }
                     Some("--cache") => {
@@ -807,7 +774,6 @@ fn run() -> Result<ExitCode, String> {
                     rest,
                     index.as_deref(),
                     from_index.as_deref(),
-                    threads,
                     cache,
                     json,
                     history,
@@ -830,7 +796,6 @@ fn run() -> Result<ExitCode, String> {
                     &rest,
                     index.as_deref(),
                     from_index.as_deref(),
-                    threads,
                     cache,
                     &opts,
                 );
@@ -840,7 +805,7 @@ fn run() -> Result<ExitCode, String> {
                 return Ok(usage());
             }
             let db = load_db(schema, files, index.as_deref(), from_index.as_deref())?
-                .with_exec_options(ExecOptions { threads: threads.max(1), cache })
+                .with_subexpr_cache(cache)
                 .with_strict(strict);
             if cmd == "explain" {
                 print!("{}", db.explain(query).map_err(|e| e.to_string())?);
@@ -1049,7 +1014,7 @@ fn run() -> Result<ExitCode, String> {
                     }
                     out.push_str(&format!("{{\"target\":\"{target}\""));
                     if let Some(q) = query {
-                        out.push_str(&format!(",\"query\":\"{}\"", json_escape(q)));
+                        out.push_str(&format!(",\"query\":\"{}\"", qof::pat::json::escape(q)));
                     }
                     out.push_str(",\"diagnostics\":[");
                     let body: Vec<String> = ds.iter().map(qof::Diagnostic::to_json).collect();
