@@ -9,10 +9,10 @@
 //! ```
 //!
 //! Experiment ids: f2 f3 e1 … e12 a1 a2 (see DESIGN.md §4; e11 is the
-//! shard-parallel + subexpression-cache experiment, a1 the §5.2 sharing
-//! ablation, a2 the static-analyzer overhead on the check and query
-//! paths). `--small` shrinks every corpus to CI scale; `--json PATH`
-//! overrides the default report path of `BENCH_harness.json`.
+//! traced E6 join, a1 the §5.2 sharing ablation, a2 the static-analyzer
+//! overhead on the check and query paths). `--small` shrinks every corpus
+//! to CI scale; `--json PATH` overrides the default report path of
+//! `BENCH_harness.json`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -12,8 +12,8 @@ use std::time::Instant;
 
 use qof_core::baseline::BaselineMode;
 use qof_core::{
-    advise, certify, optimize, parse_query, AbsInterp, Direction, FileDatabase, InclusionExpr,
-    QueryResult, Rig, SelectKind,
+    advise, certify, optimize, parse_query, AbsInterp, Direction, FileDatabase, InclusionExpr, Rig,
+    SelectKind,
 };
 use qof_corpus::{bibtex, logs};
 use qof_grammar::{render_tree, IndexSpec, Parser};
@@ -87,7 +87,7 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ("e8", "optimizer scaling with expression length (Theorem 3.6)"),
     ("e9", "choosing what to index: size vs time (§7)"),
     ("e10", "exact answers with partial indexing (§6.3)"),
-    ("e11", "the subexpression cache and a traced E6 join"),
+    ("e11", "a traced E6 join: per-phase breakdown and tracing overhead"),
     ("e12", "query server under closed-loop load: latency from /metrics, log overhead"),
     ("e13", "persistent compressed index (.qofx): O(1) reopen vs rebuild"),
     ("a1", "ablation: common-subexpression sharing in boolean queries (§5.2)"),
@@ -570,61 +570,25 @@ fn e10(scale: Scale, r: &mut Recorder) {
     );
 }
 
-/// E11: the engine-level subexpression cache on the E2/E6 workload, and
-/// the trace-derived breakdown of the heaviest query (E6's content join).
-///
-/// Reports the batch's wall-clock uncached and as a cached repeat, plus
-/// the cache hit rate. Cached results are asserted identical to uncached
-/// evaluation.
+/// E11: the trace-derived breakdown of the heaviest query (E6's content
+/// join) and what tracing it costs.
 fn e11(scale: Scale, r: &mut Recorder) {
-    banner("E11", "the subexpression cache and a traced E6 join");
+    banner("E11", "a traced E6 join: per-phase breakdown and tracing overhead");
     let (files, refs) = scale.pick((6, 40), (12, 400));
-    let corpus = multi_file_bibtex(files, refs);
-    let mut fdb = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
-    println!("corpus: {files} files × {refs} refs; batch of {} queries", BATCH_WORKLOAD.len());
+    let fdb =
+        FileDatabase::build(multi_file_bibtex(files, refs), bibtex::schema(), IndexSpec::full())
+            .unwrap();
+    println!("corpus: {files} files × {refs} refs");
 
-    let run_batch = |fdb: &FileDatabase| {
-        let t = Instant::now();
-        let results: Vec<QueryResult> =
-            BATCH_WORKLOAD.iter().map(|q| fdb.query(q).unwrap()).collect();
-        (results, t.elapsed().as_secs_f64())
-    };
-    // Uncached baseline — also the correctness oracle.
-    let (baseline, _) = run_batch(&fdb);
-    let t1 = median_secs(3, || run_batch(&fdb).1);
-    r.rec("batch_secs", t1, "s");
-
-    // The §5.2 cache across a repeated batch: second pass is mostly hits.
-    fdb.set_subexpr_cache(true);
-    let (warm, _) = run_batch(&fdb);
-    for (a, b) in baseline.iter().zip(&warm) {
-        assert_eq!(a.regions, b.regions, "cached execution changed a result");
-        assert_eq!(a.values, b.values, "cached execution changed a value");
-    }
-    let tc = median_secs(3, || run_batch(&fdb).1);
-    let stats = fdb.cache_stats();
-    r.rec("cached_batch_secs", tc, "s");
-    r.rec("cache_speedup", t1 / tc.max(1e-12), "x");
-    r.rec("cache_hit_rate", stats.hit_rate(), "ratio");
-    println!(
-        "uncached batch: {}; cached repeat: {} = {:.2}x; hit rate {:.1}% ({} entries)",
-        fmt_secs(t1),
-        fmt_secs(tc),
-        t1 / tc.max(1e-12),
-        100.0 * stats.hit_rate(),
-        stats.entries
-    );
-
-    // Trace-derived breakdown of the heaviest query: per-phase timings and
-    // this run's cache hit ratio, embedded into the report as a full
-    // `QueryTrace` document. Traced evaluation runs the same evaluator, so
-    // the result must be byte-identical to the untraced run —
-    // asserted here instead of a speedup (tracing is pure overhead).
+    // Trace-derived breakdown of the heaviest query: per-phase timings,
+    // embedded into the report as a full `QueryTrace` document. Traced
+    // evaluation runs the same evaluator, so the result must be
+    // byte-identical to the untraced run — asserted here instead of a
+    // speedup (tracing is pure overhead).
     let untraced = fdb.query(EDITOR_IS_AUTHOR).unwrap();
     let (traced, trace) = fdb.query_traced(EDITOR_IS_AUTHOR).unwrap();
     assert_eq!(untraced.regions, traced.regions, "tracing changed a result");
     assert_eq!(untraced.values, traced.values, "tracing changed a value");
-    r.rec("trace_cache_hit_rate", trace.cache_hit_rate(), "ratio");
     r.rec("trace_total_secs", trace.total_nanos as f64 / 1e9, "s");
     r.rec("trace_op_nodes", trace.op_node_count() as f64, "nodes");
     for phase in &trace.phases {
@@ -642,11 +606,9 @@ fn e11(scale: Scale, r: &mut Recorder) {
     });
     r.rec("trace_overhead_ratio", t_traced / t_untraced.max(1e-12), "x");
     println!(
-        "traced E6 join: {} phases, {} operator nodes, cache hit rate {:.1}%, \
-         tracing overhead {:.2}x",
+        "traced E6 join: {} phases, {} operator nodes, tracing overhead {:.2}x",
         trace.phases.len(),
         trace.op_node_count(),
-        100.0 * trace.cache_hit_rate(),
         t_traced / t_untraced.max(1e-12)
     );
     r.attach_trace(trace.to_json());
@@ -705,7 +667,6 @@ fn e12(scale: Scale, r: &mut Recorder) {
     let build_db = || {
         FileDatabase::build(multi_file_bibtex(files, refs), bibtex::schema(), IndexSpec::full())
             .expect("generated corpus indexes")
-            .with_subexpr_cache(true)
     };
     // One closed-loop run: start a fresh server, drive it, return the
     // handle (still serving) and the load's wall-clock seconds.
@@ -1187,8 +1148,6 @@ fn a5(scale: Scale, r: &mut Recorder) {
                     bytes: tr.bytes_touched,
                     plan_cache_hits: tr.plan_cache_hits,
                     plan_cache_misses: tr.plan_cache_misses,
-                    cache_hits: tr.cache_hits,
-                    cache_misses: tr.cache_misses,
                     error: false,
                     est_ratio: 1.0,
                     trace_id: tr.id,
@@ -1237,8 +1196,6 @@ fn a5(scale: Scale, r: &mut Recorder) {
                 bytes: 10,
                 plan_cache_hits: 1,
                 plan_cache_misses: 0,
-                cache_hits: 0,
-                cache_misses: 0,
                 error: false,
                 est_ratio: 1.0,
                 trace_id: fp,

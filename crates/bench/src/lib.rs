@@ -33,10 +33,9 @@ pub const CHANG_STAR: &str = "SELECT r FROM References r WHERE r.*X.Last_Name = 
 pub const EDITOR_IS_AUTHOR: &str =
     "SELECT r FROM References r WHERE r.Editors.Name.Last_Name = r.Authors.Name.Last_Name";
 
-/// The E2/E6-style batch workload for the subexpression-cache experiment
-/// (E11), the server load (E12) and the backend comparison (E13): point
-/// lookups, a content join, and overlapping conditions so the
-/// subexpression cache has something to share.
+/// The E2/E6-style batch workload for the server load (E12) and the
+/// backend comparison (E13): point lookups, a content join, and
+/// overlapping conditions.
 pub const BATCH_WORKLOAD: &[&str] = &[
     CHANG_AUTHOR,
     EDITOR_IS_AUTHOR,

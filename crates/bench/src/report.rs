@@ -11,7 +11,7 @@
 //!     { "id": "e11", "title": "…", "wall_secs": 0.42,
 //!       "trace": { "schema_version": 1, "query": "…", "phases": [], … },
 //!       "measurements": [
-//!         { "name": "cache_speedup", "value": 1.3, "unit": "x" }
+//!         { "name": "trace_overhead_ratio", "value": 1.1, "unit": "x" }
 //!       ] }
 //!   ]
 //! }
@@ -19,8 +19,7 @@
 //!
 //! Schema history: v2 added the optional per-experiment `trace` block — a
 //! full `QueryTrace` document (see `qof_core::TRACE_SCHEMA_VERSION`) with
-//! per-operator timings, per-phase breakdowns and the run's cache hit
-//! ratio. v3 added the `e12` server-load experiment to the canonical run
+//! per-operator timings and per-phase breakdowns. v3 added the `e12` server-load experiment to the canonical run
 //! order and bumped embedded traces to trace schema v2 (which carries the
 //! query `id`). All v2 fields are unchanged. Embedded traces follow
 //! `qof_core::TRACE_SCHEMA_VERSION` as it evolves (v3 adds per-rewrite

@@ -108,8 +108,7 @@ struct NameStats {
 ///
 /// The `epoch` advances whenever the underlying index changes
 /// (`add_file`); consumers that memoize per-epoch results (the
-/// [`PlanCache`], the shared subexpression cache) must invalidate on a
-/// bump.
+/// [`PlanCache`]) must invalidate on a bump.
 #[derive(Debug, Default)]
 pub struct StatsStore {
     epoch: u64,

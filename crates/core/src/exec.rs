@@ -14,8 +14,8 @@ use qof_grammar::{
     StructuringSchema,
 };
 use qof_pat::{
-    CacheStats, Engine, EvalError, EvalStats, Instance, MetricsRegistry, Region, RegionSet,
-    SubexprCache, TraceSink, WorkloadObs, WorkloadTable,
+    Engine, EvalError, EvalStats, Instance, MetricsRegistry, Region, RegionSet, TraceSink,
+    WorkloadObs, WorkloadTable,
 };
 use qof_text::{CompressedWordIndex, Corpus, SuffixArray, Tokenizer, WordIndex, WordLookup};
 
@@ -162,9 +162,6 @@ pub struct FileDatabase {
     instance: Instance,
     full_rig: Rig,
     partial_rig: Rig,
-    /// Whether queries share evaluated subexpressions through `cache`.
-    subexpr_cache: bool,
-    cache: SubexprCache,
     stats: StatsStore,
     plan_cache: PlanCache,
     metrics: Arc<MetricsRegistry>,
@@ -245,8 +242,6 @@ impl FileDatabase {
             instance,
             full_rig,
             partial_rig,
-            subexpr_cache: false,
-            cache: SubexprCache::new(),
             stats,
             plan_cache: PlanCache::new(),
             metrics: MetricsRegistry::global_arc(),
@@ -313,30 +308,7 @@ impl FileDatabase {
     /// construction is the most expensive part of indexing).
     pub fn with_suffix_array(mut self) -> Self {
         self.suffix = Some(SuffixArray::build(&self.corpus, &Tokenizer::new()));
-        self.cache.clear();
         self
-    }
-
-    /// Enables or disables the cross-query subexpression cache (builder
-    /// style): evaluated subexpressions are shared across queries (§5.2's
-    /// sharing, engine-wide) until the database is mutated.
-    pub fn with_subexpr_cache(mut self, enabled: bool) -> Self {
-        self.set_subexpr_cache(enabled);
-        self
-    }
-
-    /// Enables or disables the subexpression cache in place. Disabling it
-    /// drops any held entries.
-    pub fn set_subexpr_cache(&mut self, enabled: bool) {
-        self.subexpr_cache = enabled;
-        if !enabled {
-            self.cache.clear();
-        }
-    }
-
-    /// Whether the subexpression cache is enabled.
-    pub fn subexpr_cache_enabled(&self) -> bool {
-        self.subexpr_cache
     }
 
     /// Enables strict planning (builder style): an optimizer rewrite the
@@ -347,11 +319,10 @@ impl FileDatabase {
         self
     }
 
-    /// Sets strict planning in place. Plans change shape, so any cached
-    /// subexpression results and memoized lowerings are dropped.
+    /// Sets strict planning in place. Plans change shape, so memoized
+    /// lowerings are dropped.
     pub fn set_strict(&mut self, strict: bool) {
         if self.strict != strict {
-            self.cache.clear();
             self.plan_cache.clear();
         }
         self.strict = strict;
@@ -402,16 +373,6 @@ impl FileDatabase {
     /// explicitly and pass the ID to [`FileDatabase::query_traced_with_id`].
     pub fn allocate_query_id(&self) -> u64 {
         self.query_counter.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Hit/miss/size counters of the shared subexpression cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Drops all cached subexpression results (counters included).
-    pub fn clear_subexpr_cache(&self) {
-        self.cache.clear();
     }
 
     /// The index statistics store driving cost-ranked plan selection.
@@ -471,11 +432,9 @@ impl FileDatabase {
         if self.suffix.is_some() {
             self.suffix = Some(SuffixArray::build(&self.corpus, &Tokenizer::new()));
         }
-        // Cached results were computed against the smaller corpus, and so
-        // were the statistics every memoized plan was ranked against:
-        // clear the subexpression cache, re-gather statistics (advancing
-        // the epoch), and invalidate the plan cache with it.
-        self.cache.clear();
+        // Every memoized plan was ranked against statistics of the smaller
+        // corpus: re-gather them (advancing the epoch), and invalidate the
+        // plan cache with it.
         self.stats.refresh_from_index(&self.instance, self.backend.lookup(), &self.partial_rig);
         self.plan_cache.bump_epoch();
         self.publish_index_stats();
@@ -596,8 +555,8 @@ impl FileDatabase {
     /// Like [`FileDatabase::query`], but records a full [`QueryTrace`]
     /// alongside the result: the optimizer rewrites that fired during
     /// planning, per-phase wall times, the engine's operator tree (with
-    /// per-operator timings, cardinalities and cache outcomes), and this
-    /// run's own shared-cache and plan-cache hits and misses. The run
+    /// per-operator timings, cardinalities and memo hits), and this run's
+    /// own plan-cache hits and misses. The run
     /// also feeds this database's [`MetricsRegistry`] (the process-wide
     /// one unless another was injected) and draws the trace's query ID
     /// from the database's sequence.
@@ -665,8 +624,6 @@ impl FileDatabase {
             estimates,
             phases: tr.phases,
             ops: tr.ops,
-            cache_hits: result.stats.eval.cache_hits,
-            cache_misses: result.stats.eval.cache_misses,
             plan_cache_hits: plan.plan_cache_hits,
             plan_cache_misses: plan.plan_cache_misses,
             total_nanos,
@@ -676,8 +633,6 @@ impl FileDatabase {
             exact_index: result.stats.exact_index,
         };
         metrics.record_query(total_nanos, true);
-        metrics.record_cache(trace.cache_hits, trace.cache_misses);
-        metrics.record_cache_evictions(result.stats.eval.cache_evictions);
         metrics.record_plan_cache_delta(trace.plan_cache_hits, trace.plan_cache_misses);
         metrics.record_op_trace(&trace.ops);
         // Feed the observed cardinalities back into the stats store so
@@ -690,8 +645,6 @@ impl FileDatabase {
             bytes: trace.bytes_touched,
             plan_cache_hits: trace.plan_cache_hits,
             plan_cache_misses: trace.plan_cache_misses,
-            cache_hits: trace.cache_hits,
-            cache_misses: trace.cache_misses,
             error: false,
             est_ratio: worst_estimate_ratio(&trace.estimates),
             trace_id: id,
@@ -729,14 +682,9 @@ impl FileDatabase {
 
     fn engine(&self) -> Engine<'_> {
         let e = Engine::new(&self.corpus, self.backend.lookup(), &self.instance);
-        let e = match &self.suffix {
+        match &self.suffix {
             Some(sa) => e.with_suffix_array(sa),
             None => e,
-        };
-        if self.subexpr_cache {
-            e.with_shared_cache(&self.cache)
-        } else {
-            e
         }
     }
 
@@ -1236,29 +1184,6 @@ mod tests {
     }
 
     #[test]
-    fn subexpr_cache_serves_repeat_queries() {
-        let corpus = multi_file_corpus(3, 20);
-        let uncached =
-            FileDatabase::build(corpus.clone(), bibtex::schema(), IndexSpec::full()).unwrap();
-        let cached = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full())
-            .unwrap()
-            .with_subexpr_cache(true);
-        let q = QUERIES[0];
-        let first = cached.query(q).unwrap();
-        let misses_after_first = cached.cache_stats().misses;
-        assert!(misses_after_first > 0, "first run must populate the cache");
-        let second = cached.query(q).unwrap();
-        let stats = cached.cache_stats();
-        assert!(stats.hits > 0, "second run must hit the cache: {stats:?}");
-        assert_eq!(stats.misses, misses_after_first, "second run must add no misses");
-        assert_same_results(&first, &second, q);
-        assert_same_results(&uncached.query(q).unwrap(), &second, q);
-        // Mutating the database invalidates the cache.
-        cached.clear_subexpr_cache();
-        assert_eq!(cached.cache_stats().entries, 0);
-    }
-
-    #[test]
     fn traced_query_matches_untraced_and_fills_the_trace() {
         let corpus = multi_file_corpus(3, 20);
         let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
@@ -1290,7 +1215,6 @@ mod tests {
         let metrics = MetricsRegistry::shared();
         let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full())
             .unwrap()
-            .with_subexpr_cache(true)
             .with_metrics(std::sync::Arc::clone(&metrics));
         let (_, trace) = db.query_traced(QUERIES[1]).unwrap();
         let (_, trace2) = db.query_traced(QUERIES[1]).unwrap();
@@ -1298,8 +1222,6 @@ mod tests {
         let after = metrics.snapshot();
         assert_eq!(after.queries, 2);
         assert_eq!(after.query_errors, 0);
-        assert_eq!(after.cache_misses, trace.cache_misses + trace2.cache_misses);
-        assert_eq!(after.cache_hits, trace.cache_hits + trace2.cache_hits);
         assert_eq!(after.query_latency.count(), 2);
         assert!(!after.op_latency.is_empty());
         // Query IDs come from the database's own sequence.
@@ -1359,15 +1281,11 @@ mod tests {
             }
             assert!(max_end(&trace.ops) <= trace.total_nanos, "span end exceeds total");
         }
-        for cache in [false, true] {
-            let corpus = multi_file_corpus(4, 10);
-            let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full())
-                .unwrap()
-                .with_subexpr_cache(cache);
-            for q in QUERIES {
-                let (_, trace) = db.query_traced(q).unwrap();
-                check(&trace);
-            }
+        let db = FileDatabase::build(multi_file_corpus(4, 10), bibtex::schema(), IndexSpec::full())
+            .unwrap();
+        for q in QUERIES {
+            let (_, trace) = db.query_traced(q).unwrap();
+            check(&trace);
         }
     }
 
@@ -1388,7 +1306,6 @@ mod tests {
         let metrics = MetricsRegistry::shared();
         let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full())
             .unwrap()
-            .with_subexpr_cache(true)
             .with_metrics(std::sync::Arc::clone(&metrics));
         let (_, miss) = db.query_traced(QUERIES[0]).unwrap();
         let (_, hit) = db.query_traced(QUERIES[0]).unwrap();
@@ -1400,8 +1317,6 @@ mod tests {
         assert_eq!(snap.query_latency.count(), 2);
         assert_eq!(snap.plan_cache_misses, 1, "exactly one miss recorded");
         assert_eq!(snap.plan_cache_hits, 1, "exactly one hit recorded");
-        assert_eq!(snap.cache_hits, miss.cache_hits + hit.cache_hits);
-        assert_eq!(snap.cache_misses, miss.cache_misses + hit.cache_misses);
         let mut expect = 0;
         for t in [&miss, &hit] {
             computed_ops(&t.ops, &mut expect);
@@ -1412,25 +1327,23 @@ mod tests {
 
     #[test]
     fn concurrent_traced_queries_count_only_their_own_cache_lookups() {
-        // Regression: traces used to take their cache counts as the
+        // Regression: traces used to take their plan-cache counts as the
         // difference of shared counters read before and after the query,
         // so every concurrent query's lookups landed in this trace too
         // (2 threads x 400 warm queries: 800 plan-cache hits, ~1030 in the
         // traces and in /metrics). Each run now counts its own lookups, so
-        // the metrics, the sum of the traces and the caches' own counters
-        // agree exactly.
+        // the metrics, the sum of the traces and the plan cache's own
+        // counters agree exactly.
         const THREADS: usize = 2;
         const ROUNDS: usize = 50;
         let metrics = MetricsRegistry::shared();
         let db = FileDatabase::build(multi_file_corpus(2, 10), bibtex::schema(), IndexSpec::full())
             .unwrap()
-            .with_subexpr_cache(true)
             .with_metrics(Arc::clone(&metrics));
         for q in QUERIES {
             db.query_traced(q).unwrap();
         }
-        let (plans0, subexprs0, metrics0) =
-            (db.plan_cache_stats(), db.cache_stats(), metrics.snapshot());
+        let (plans0, metrics0) = (db.plan_cache_stats(), metrics.snapshot());
         // Both workers start every round together, so their queries
         // overlap instead of running back to back.
         let barrier = std::sync::Barrier::new(THREADS);
@@ -1451,28 +1364,17 @@ mod tests {
                 .collect();
             workers.into_iter().flat_map(|w| w.join().unwrap()).collect()
         });
-        let (plans1, subexprs1, metrics1) =
-            (db.plan_cache_stats(), db.cache_stats(), metrics.snapshot());
+        let (plans1, metrics1) = (db.plan_cache_stats(), metrics.snapshot());
         let sum = |f: fn(&QueryTrace) -> u64| traces.iter().map(f).sum::<u64>();
         assert_eq!(traces.len(), THREADS * ROUNDS * QUERIES.len());
         // Every measured run is warm: it hits the plan cache once per chain
         // and never misses, whatever the other thread is doing.
         assert!(traces.iter().all(|t| t.plan_cache_hits >= 1 && t.plan_cache_misses == 0));
-        assert!(traces.iter().all(|t| t.cache_hits >= 1 && t.cache_misses == 0));
         let plan_hits = plans1.hits - plans0.hits;
         assert_eq!(sum(|t| t.plan_cache_hits), plan_hits);
         assert_eq!(metrics1.plan_cache_hits - metrics0.plan_cache_hits, plan_hits);
         assert_eq!(sum(|t| t.plan_cache_misses), plans1.misses - plans0.misses);
         assert_eq!(metrics1.plan_cache_misses - metrics0.plan_cache_misses, 0);
-        let hits = subexprs1.hits - subexprs0.hits;
-        assert_eq!(sum(|t| t.cache_hits), hits);
-        assert_eq!(metrics1.cache_hits - metrics0.cache_hits, hits);
-        assert_eq!(sum(|t| t.cache_misses), subexprs1.misses - subexprs0.misses);
-        assert_eq!(metrics1.cache_misses - metrics0.cache_misses, 0);
-        assert_eq!(
-            metrics1.cache_evictions - metrics0.cache_evictions,
-            subexprs1.evictions - subexprs0.evictions
-        );
     }
 
     #[test]

@@ -178,7 +178,7 @@ mod tests {
         sink.leaf(OpTrace {
             op: "σ".into(),
             detail: "\"1982\"".into(),
-            source: CacheSource::SharedCache,
+            source: CacheSource::LocalMemo,
             ..OpTrace::default()
         });
         sink.exit(OpTrace { op: "⊃".into(), output: 1, ..OpTrace::default() });
@@ -252,7 +252,7 @@ mod tests {
         assert_eq!(begins, ends);
         check_matched_pairs(events);
         // Operator attributes ride along.
-        assert!(json.contains("\"source\":\"shared\""), "{json}");
+        assert!(json.contains("\"source\":\"memo\""), "{json}");
         assert!(json.contains("\"name\":\"σ \\\"1982\\\"\""), "{json}");
     }
 

@@ -2,7 +2,7 @@
 //! one query run actually did — the plan, the optimizer rewrites that fired
 //! (tagged with the licensing proposition: 3.3, 3.5(a), 3.5(b)), per-phase
 //! wall times, and the operator tree from the engine ([`OpTrace`]) with timings, cardinalities
-//! and cache outcomes.
+//! and memo hits.
 //!
 //! Two renderers live here: [`QueryTrace::render`], the rustc-style pretty
 //! tree behind `qof query --explain-analyze`, and
@@ -38,10 +38,11 @@ use crate::plan::PlanRewrite;
 /// `bytes_touched` (parse-phase bytes scanned plus content bytes read).
 /// v7 removed the `shards` array with the shard-parallel executor: every
 /// operator span lives in `ops`. It also made the cache counters per run:
-/// `cache_hits`/`cache_misses` and `plan_cache_hits`/`plan_cache_misses`
-/// count this query's own lookups, never a concurrent query's. All other
-/// fields are unchanged.
-pub const TRACE_SCHEMA_VERSION: u64 = 7;
+/// `plan_cache_hits`/`plan_cache_misses` count this query's own lookups,
+/// never a concurrent query's. v8 removed `cache_hits`/`cache_misses` with
+/// the cross-query subexpression cache, and the `shared` op source with
+/// them. All other fields are unchanged.
+pub const TRACE_SCHEMA_VERSION: u64 = 8;
 
 /// The abstract interpreter's verdict on one plan node (trace schema v3):
 /// a static domain, a cardinality interval and an emptiness fact, as
@@ -130,10 +131,6 @@ pub struct QueryTrace {
     pub phases: Vec<PhaseTrace>,
     /// Operator trace of the engine.
     pub ops: Vec<OpTrace>,
-    /// Shared-cache hits of this run's own lookups.
-    pub cache_hits: u64,
-    /// Shared-cache misses of this run's own lookups.
-    pub cache_misses: u64,
     /// Plan-cache hits while planning this run (schema v4): lowered
     /// chains reused from a previous optimize-and-certify.
     pub plan_cache_hits: u64,
@@ -165,19 +162,6 @@ pub(crate) struct ExecTrace {
 }
 
 impl QueryTrace {
-    /// Fraction of shared-cache lookups that hit during this run.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.cache_hits as f64 / total as f64
-            }
-        }
-    }
-
     /// Total operator-trace nodes.
     pub fn op_node_count(&self) -> usize {
         self.ops.iter().map(OpTrace::node_count).sum()
@@ -262,12 +246,10 @@ impl QueryTrace {
         };
         let _ = writeln!(
             out,
-            "totals: {} candidates, {} results [{}], cache {}/{} hits{plan_cache}, {}",
+            "totals: {} candidates, {} results [{}]{plan_cache}, {}",
             self.candidates,
             self.results,
             if self.exact_index { "exact" } else { "candidates" },
-            self.cache_hits,
-            self.cache_hits + self.cache_misses,
             fmt_nanos(self.total_nanos)
         );
         out
@@ -353,8 +335,6 @@ impl QueryTrace {
         }
         s.push_str("],\"ops\":");
         ops_to_json(&self.ops, &mut s);
-        let _ =
-            write!(s, ",\"cache_hits\":{},\"cache_misses\":{}", self.cache_hits, self.cache_misses);
         let _ = write!(
             s,
             ",\"plan_cache_hits\":{},\"plan_cache_misses\":{}",
@@ -443,8 +423,6 @@ impl QueryTrace {
             estimates,
             phases,
             ops: ops_from_json(get_arr(obj, "ops")?)?,
-            cache_hits: get_u64(obj, "cache_hits")?,
-            cache_misses: get_u64(obj, "cache_misses")?,
             plan_cache_hits: get_u64(obj, "plan_cache_hits")?,
             plan_cache_misses: get_u64(obj, "plan_cache_misses")?,
             total_nanos: get_u64(obj, "total_nanos")?,
@@ -478,7 +456,6 @@ fn render_op(node: &OpTrace, prefix: &str, is_last: bool, out: &mut String) {
     match node.source {
         CacheSource::Computed => {}
         CacheSource::LocalMemo => line.push_str("  (memo hit)"),
-        CacheSource::SharedCache => line.push_str("  (shared-cache hit)"),
     }
     let _ = writeln!(out, "{prefix}{branch}{line}");
     let child_prefix = format!("{prefix}{}", if is_last { "   " } else { "│  " });
@@ -628,8 +605,6 @@ mod tests {
                 PhaseTrace { name: "projection".into(), start_nanos: 1_500, nanos: 2_000_000 },
             ],
             ops: vec![root],
-            cache_hits: 3,
-            cache_misses: 1,
             plan_cache_hits: 2,
             plan_cache_misses: 1,
             total_nanos: 2_100_000,
@@ -654,7 +629,7 @@ mod tests {
 
     #[test]
     fn from_json_rejects_bad_versions_and_garbage() {
-        let json = sample().to_json().replace("\"schema_version\":7", "\"schema_version\":999");
+        let json = sample().to_json().replace("\"schema_version\":8", "\"schema_version\":999");
         assert!(QueryTrace::from_json(&json).unwrap_err().contains("schema version"));
         assert!(QueryTrace::from_json("{").is_err());
         assert!(QueryTrace::from_json("[]").is_err());
@@ -687,10 +662,7 @@ mod tests {
 
     #[test]
     fn cache_hit_rate_and_node_count() {
-        let t = sample();
-        assert!((t.cache_hit_rate() - 0.75).abs() < 1e-9);
-        assert_eq!(t.op_node_count(), 3);
-        assert!((QueryTrace { cache_hits: 0, cache_misses: 0, ..t }).cache_hit_rate().abs() < 1e-9);
+        assert_eq!(sample().op_node_count(), 3);
     }
 
     #[test]

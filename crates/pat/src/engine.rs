@@ -10,7 +10,7 @@ use qof_text::{Corpus, Pos, SuffixArray, WordLookup};
 
 use crate::{
     direct_included_in, direct_including, CacheSource, EvalStats, Instance, OpTrace, Region,
-    RegionExpr, RegionSet, SubexprCache, TraceSink, UniverseForest,
+    RegionExpr, RegionSet, TraceSink, UniverseForest,
 };
 
 /// Errors raised during evaluation.
@@ -45,9 +45,6 @@ pub struct Engine<'a> {
     forest: UniverseForest,
     stats: RefCell<EvalStats>,
     share: std::cell::Cell<bool>,
-    /// Cross-query subexpression cache, shared by reference between the
-    /// engines of concurrent queries over the same indexes.
-    shared: Option<&'a SubexprCache>,
     /// Operator trace sink. `None` (the default) keeps evaluation on the
     /// untraced hot path — the only cost is this branch.
     trace: Option<&'a TraceSink>,
@@ -67,18 +64,8 @@ impl<'a> Engine<'a> {
             forest,
             stats: RefCell::new(EvalStats::new()),
             share: std::cell::Cell::new(true),
-            shared: None,
             trace: None,
         }
-    }
-
-    /// Attaches a shared subexpression cache. Lookups key on the normalized
-    /// expression; this engine's hits, misses and evictions are counted in
-    /// its own [`EvalStats`]. The caller must clear the cache when the
-    /// corpus or the instance changes.
-    pub fn with_shared_cache(mut self, cache: &'a SubexprCache) -> Self {
-        self.shared = Some(cache);
-        self
     }
 
     /// Attaches a PAT suffix array, enabling fast prefix match points.
@@ -89,7 +76,7 @@ impl<'a> Engine<'a> {
 
     /// Attaches an operator trace sink: every subsequent evaluation records
     /// one [`OpTrace`] node per operator application (timings, input/output
-    /// cardinalities, bytes scanned, cache outcomes). Detach by rebuilding
+    /// cardinalities, bytes scanned, memo hits). Detach by rebuilding
     /// the engine; with no sink attached evaluation is untraced and pays
     /// only one branch per node.
     pub fn with_trace(mut self, sink: &'a TraceSink) -> Self {
@@ -127,16 +114,9 @@ impl<'a> Engine<'a> {
         *self.stats.borrow_mut() = EvalStats::new();
     }
 
-    /// Evaluates `expr`, sharing identical subexpressions. With a shared
-    /// cache attached, the expression is normalized first so commutative
-    /// spellings hit the same entries.
+    /// Evaluates `expr`, computing each distinct subexpression once (§5.2).
     pub fn eval(&self, expr: &RegionExpr) -> Result<RegionSet, EvalError> {
-        let mut memo = HashMap::new();
-        if self.shared.is_some() {
-            self.eval_memo(&expr.normalized(), &mut memo)
-        } else {
-            self.eval_memo(expr, &mut memo)
-        }
+        self.eval_memo(expr, &mut HashMap::new())
     }
 
     /// Evaluates `expr` *without* common-subexpression sharing — the
@@ -150,27 +130,27 @@ impl<'a> Engine<'a> {
     }
 
     /// The one recursive evaluator: with sharing on, answer from the
-    /// per-call memo or the shared cache; otherwise compute. With a trace
-    /// sink attached, a cache hit is filed as a childless leaf and the
-    /// compute step as a span whose children are the operand evaluations.
+    /// per-call memo; otherwise compute. With a trace sink attached, a memo
+    /// hit is filed as a childless leaf and the compute step as a span whose
+    /// children are the operand evaluations.
     fn eval_memo(
         &self,
         expr: &RegionExpr,
         memo: &mut HashMap<RegionExpr, RegionSet>,
     ) -> Result<RegionSet, EvalError> {
         if self.share.get() {
-            if let Some((hit, source)) = self.lookup(expr, memo) {
+            if let Some(hit) = memo.get(expr) {
                 if let Some(sink) = self.trace {
                     let (op, detail) = op_parts(expr);
                     sink.leaf(OpTrace {
                         op: op.to_owned(),
                         detail,
                         output: hit.len(),
-                        source,
+                        source: CacheSource::LocalMemo,
                         ..OpTrace::default()
                     });
                 }
-                return Ok(hit);
+                return Ok(hit.clone());
             }
         }
         let result = match self.trace {
@@ -200,43 +180,8 @@ impl<'a> Engine<'a> {
         }?;
         if self.share.get() {
             memo.insert(expr.clone(), result.clone());
-            if let Some(shared) = self.shared_for(expr) {
-                let evicted = shared.insert(expr.clone(), result.clone());
-                self.stats.borrow_mut().cache_evictions += evicted;
-            }
         }
         Ok(result)
-    }
-
-    /// A previously computed result for `expr` and where it came from:
-    /// the per-call memo first, then the shared cache (whose hits are
-    /// copied into the memo).
-    fn lookup(
-        &self,
-        expr: &RegionExpr,
-        memo: &mut HashMap<RegionExpr, RegionSet>,
-    ) -> Option<(RegionSet, CacheSource)> {
-        if let Some(hit) = memo.get(expr) {
-            return Some((hit.clone(), CacheSource::LocalMemo));
-        }
-        let hit = self.shared_for(expr)?.get(expr);
-        let mut stats = self.stats.borrow_mut();
-        if hit.is_some() {
-            stats.cache_hits += 1;
-        } else {
-            stats.cache_misses += 1;
-        }
-        drop(stats);
-        let hit = hit?;
-        memo.insert(expr.clone(), hit.clone());
-        Some((hit, CacheSource::SharedCache))
-    }
-
-    /// The shared cache, when one is attached and `expr` is worth caching:
-    /// name sets are direct instance lookups, and caching them would only
-    /// duplicate the instance.
-    fn shared_for(&self, expr: &RegionExpr) -> Option<&'a SubexprCache> {
-        self.shared.filter(|_| !matches!(expr, RegionExpr::Name(_)))
     }
 
     /// Bytes scanned and word probes so far, for per-span deltas.
@@ -818,46 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_serves_repeat_evaluations() {
-        let (c, w, i) = fixture();
-        let shared = crate::SubexprCache::new();
-        let e = RegionExpr::name("Reference")
-            .including(RegionExpr::name("Last_Name").select_eq("Chang"));
-        let first = {
-            let eng = Engine::new(&c, &w, &i).with_shared_cache(&shared);
-            eng.eval(&e).unwrap()
-        };
-        assert_eq!(shared.stats().hits, 0);
-        let eng = Engine::new(&c, &w, &i).with_shared_cache(&shared);
-        let second = eng.eval(&e).unwrap();
-        assert_eq!(first, second);
-        assert!(shared.stats().hits >= 1, "second evaluation must hit the cache");
-        // The engine counts its own lookups: exactly the root hit, no miss.
-        assert_eq!((eng.stats().cache_hits, eng.stats().cache_misses), (1, 0));
-        // The whole expression was answered from the cache: no ⊃ ran.
-        assert_eq!(eng.stats().ops("⊃"), 0);
-    }
-
-    #[test]
-    fn shared_cache_results_match_uncached() {
-        let (c, w, i) = fixture();
-        let shared = crate::SubexprCache::new();
-        let exprs = [
-            RegionExpr::name("Last_Name").select_eq("Corliss"),
-            RegionExpr::name("Authors").union(RegionExpr::name("Editors")),
-            RegionExpr::name("Editors").union(RegionExpr::name("Authors")),
-        ];
-        for e in &exprs {
-            let plain = Engine::new(&c, &w, &i).eval(e).unwrap();
-            let cached = Engine::new(&c, &w, &i).with_shared_cache(&shared).eval(e).unwrap();
-            assert_eq!(plain, cached, "cache changed the result of {e}");
-        }
-        // The two commutative spellings share one entry.
-        let s = shared.stats();
-        assert!(s.hits >= 1, "B ∪ A must hit A ∪ B's entry, got {s:?}");
-    }
-
-    #[test]
     fn traced_eval_matches_untraced_and_records_tree() {
         let (c, w, i) = fixture();
         let e = RegionExpr::name("Reference").including(
@@ -914,24 +819,6 @@ mod tests {
         assert_eq!(memo_hits, vec![("σ".to_owned(), 2)]);
         // One extra tree node (the memo leaf) relative to computed ops.
         assert_eq!(roots[0].node_count() as u64, eng.stats().total_ops() + 1);
-    }
-
-    #[test]
-    fn traced_shared_cache_hit_is_a_leaf() {
-        let (c, w, i) = fixture();
-        let shared = crate::SubexprCache::new();
-        let e = RegionExpr::name("Reference")
-            .including(RegionExpr::name("Last_Name").select_eq("Chang"));
-        let first = Engine::new(&c, &w, &i).with_shared_cache(&shared).eval(&e).unwrap();
-        let sink = TraceSink::new();
-        let eng = Engine::new(&c, &w, &i).with_shared_cache(&shared).with_trace(&sink);
-        let second = eng.eval(&e).unwrap();
-        assert_eq!(first, second);
-        let roots = sink.take();
-        assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0].source, CacheSource::SharedCache);
-        assert_eq!(roots[0].output, second.len());
-        assert!(roots[0].children.is_empty());
     }
 
     #[test]

@@ -190,9 +190,10 @@ impl RegionExpr {
         }
     }
 
-    /// The canonical form used as a subexpression-cache key: commutative
-    /// operands (`∪`, `∩`) are ordered, so syntactically different spellings
-    /// of the same expression (`A ∪ B` vs `B ∪ A`) share one cache entry.
+    /// The canonical form the plan cache (`PlanCache::chain_key` in
+    /// qof-core) keys on: commutative operands (`∪`, `∩`) are ordered, so
+    /// syntactically different spellings of the same expression (`A ∪ B` vs
+    /// `B ∪ A`) share one cache entry.
     /// Normalization is recursive; every subexpression of a normalized
     /// expression is itself normalized.
     pub fn normalized(&self) -> RegionExpr {

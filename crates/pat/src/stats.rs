@@ -22,14 +22,6 @@ pub struct EvalStats {
     /// Bytes of file text actually read (σ never reads text; parsing of
     /// candidate regions, recorded by higher layers, does).
     pub bytes_scanned: u64,
-    /// Shared subexpression-cache lookups this engine answered from the
-    /// cache. Counted per engine, so concurrent queries sharing one cache
-    /// never see each other's lookups.
-    pub cache_hits: u64,
-    /// Shared subexpression-cache lookups that missed.
-    pub cache_misses: u64,
-    /// Shared-cache entries evicted by this engine's inserts.
-    pub cache_evictions: u64,
 }
 
 impl EvalStats {
@@ -77,9 +69,6 @@ impl EvalStats {
         self.word_probes += other.word_probes;
         self.match_points += other.match_points;
         self.bytes_scanned += other.bytes_scanned;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
     }
 }
 
@@ -183,10 +172,7 @@ mod tests {
         b.record_op("⊃", 2, 2);
         b.record_op("∩", 4, 1);
         b.record_scan(5);
-        b.cache_hits = 2;
-        b.cache_evictions = 1;
         a.absorb(&b);
-        assert_eq!((a.cache_hits, a.cache_misses, a.cache_evictions), (2, 0, 1));
         assert_eq!(a.ops("⊃"), 2);
         assert_eq!(a.ops("∩"), 1);
         assert_eq!(a.bytes_scanned, 5);

@@ -81,21 +81,16 @@ proptest! {
         seed in 0u64..4,
         files in 1usize..5,
         qi in 0usize..9,
-        cache in proptest::bool::ANY,
     ) {
         let corpus = bibtex_corpus(files, 12, seed);
         let q = bibtex_queries()[qi];
-        let mem = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full())
-            .unwrap()
-            .with_subexpr_cache(cache);
-        let path = scratch("shape", seed * 1000 + qi as u64 * 10 + u64::from(cache));
+        let mem = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
+        let path = scratch("shape", seed * 1000 + qi as u64 * 10);
         mem.persist(&path).unwrap();
-        let qofx = FileDatabase::open(&path, bibtex::schema())
-            .unwrap()
-            .with_subexpr_cache(cache);
+        let qofx = FileDatabase::open(&path, bibtex::schema()).unwrap();
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(qofx.backend_label(), "qofx");
-        let ctx = format!("{q} (files={files}, cache={cache})");
+        let ctx = format!("{q} (files={files})");
         let (ra, ta) = mem.query_traced(q).unwrap();
         let (rb, tb) = qofx.query_traced(q).unwrap();
         assert_same(&ra, &rb, &ctx)?;

@@ -142,18 +142,14 @@ fn check_trace(trace: &QueryTrace, ctx: &str) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every query's trace satisfies the span invariants, with and
-    /// without the subexpression cache.
+    /// Every query's trace satisfies the span invariants.
     #[test]
     fn traces_are_well_formed(
         seed in 0u64..500,
         refs in 4usize..16,
-        cache in any::<bool>(),
     ) {
         let corpus = bibtex_corpus(2, refs, seed);
-        let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full())
-            .unwrap()
-            .with_subexpr_cache(cache);
+        let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
         for q in queries() {
             let (_, trace) = db.query_traced(q).unwrap();
             check_trace(&trace, q)?;

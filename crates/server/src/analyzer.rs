@@ -128,8 +128,6 @@ fn fold_line(report: &mut QlogReport, line: &str) {
         bytes,
         plan_cache_hits: json::get_u64(obj, "plan_cache_hits").unwrap_or(0),
         plan_cache_misses: json::get_u64(obj, "plan_cache_misses").unwrap_or(0),
-        cache_hits: json::get_u64(obj, "cache_hits").unwrap_or(0),
-        cache_misses: json::get_u64(obj, "cache_misses").unwrap_or(0),
         error: false,
         // The qlog line does not carry cardinality estimates; the live
         // table's mis-estimation exemplar has no offline counterpart.
@@ -201,8 +199,8 @@ pub fn render_report(report: &QlogReport) -> String {
     let _ = writeln!(out, "top fingerprints ({}):", entries.len());
     let _ = writeln!(
         out,
-        "  {:<16} {:>6} {:>5} {:>9} {:>9} {:>6} {:>6}  exemplar",
-        "fingerprint", "hits", "err", "p50", "p95", "plan%", "cache%"
+        "  {:<16} {:>6} {:>5} {:>9} {:>9} {:>6}  exemplar",
+        "fingerprint", "hits", "err", "p50", "p95", "plan%"
     );
     for e in &entries {
         let s = e.latency.summary();
@@ -213,14 +211,13 @@ pub fn render_report(report: &QlogReport) -> String {
         }
         let _ = writeln!(
             out,
-            "  {:016x} {:>6} {:>5} {:>8.3}ms {:>8.3}ms {:>6} {:>6}  {}",
+            "  {:016x} {:>6} {:>5} {:>8.3}ms {:>8.3}ms {:>6}  {}",
             e.fingerprint,
             e.hits,
             e.errors,
             s.p50_nanos as f64 / 1e6,
             s.p95_nanos as f64 / 1e6,
             pct(e.plan_cache_hit_rate()),
-            pct(e.cache_hit_rate()),
             exemplar
         );
     }
@@ -282,8 +279,6 @@ mod tests {
             query: "SELECT r FROM References r".into(),
             total_nanos: nanos,
             bytes_touched: 100,
-            cache_hits: 3,
-            cache_misses: 1,
             plan_cache_hits: 1,
             plan_cache_misses: 0,
             candidates: 10,
@@ -359,18 +354,25 @@ mod tests {
     fn malformed_and_legacy_lines_are_tolerated() {
         let dir = tmp_dir("legacy");
         let path = dir.join("query.log");
-        // A legacy line without `fp`/`bytes` plus junk.
+        // A legacy line without `fp`/`bytes` but with the subexpression-cache
+        // counters older binaries wrote, a current line without them, and
+        // junk.
+        let current = crate::qlog::success_line(&trace(2, 0xbeef, 20), 2);
+        assert!(!current.contains("\"cache_hits\""), "{current}");
         std::fs::write(
             &path,
-            "{\"ts_ms\":1,\"id\":1,\"query\":\"q\",\"outcome\":\"ok\",\"total_nanos\":10,\
-             \"candidates\":1,\"results\":1,\"cache_hits\":0,\"cache_misses\":1,\
-             \"exact_index\":false}\nnot json\n",
+            format!(
+                "{{\"ts_ms\":1,\"id\":1,\"query\":\"q\",\"outcome\":\"ok\",\"total_nanos\":10,\
+                 \"candidates\":1,\"results\":1,\"cache_hits\":0,\"cache_misses\":1,\
+                 \"exact_index\":false}}\n{current}\nnot json\n"
+            ),
         )
         .unwrap();
         let report = analyze_qlog(&path).unwrap();
-        assert_eq!((report.queries, report.malformed), (1, 1));
+        assert_eq!((report.queries, report.malformed), (2, 1));
         let entries = report.table.snapshot();
-        assert_eq!(entries[0].fingerprint, 0, "legacy lines group under fp 0");
+        let fps: Vec<u64> = entries.iter().map(|e| e.fingerprint).collect();
+        assert_eq!(fps, [0, 0xbeef], "legacy lines group under fp 0");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -11,6 +11,11 @@ use std::net::{SocketAddr, TcpStream};
 /// Largest request body the server accepts (1 MiB — queries are small).
 pub const MAX_BODY: usize = 1 << 20;
 
+/// Largest request line plus headers the server reads (16 KiB). Without a
+/// cap a client could stream one endless line until the read timeout, and
+/// the server would buffer all of it.
+pub const MAX_HEAD: usize = 16 << 10;
+
 /// A parsed HTTP request: method, path, query string, body.
 #[derive(Debug)]
 pub struct Request {
@@ -43,6 +48,8 @@ pub enum RequestError {
     /// mid-request). The connection should be dropped without a response:
     /// a stalled peer is not draining its receive side either.
     TimedOut,
+    /// The request line plus headers ran past [`MAX_HEAD`] bytes.
+    HeadTooLarge,
     /// The bytes received do not form an acceptable request.
     Malformed(String),
 }
@@ -64,11 +71,20 @@ impl RequestError {
 /// (the client closed a keep-alive connection between requests).
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>, RequestError> {
     let malformed = |m: &str| RequestError::Malformed(m.to_owned());
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) => return Err(RequestError::io("read request line", &e)),
+    // The request line and every header are read through one shared
+    // budget; a line the budget cuts short means the head is too large.
+    let mut head = Read::take(&mut *reader, MAX_HEAD as u64);
+    let mut read_head_line = |context: &str| {
+        let mut line = String::new();
+        let n = head.read_line(&mut line).map_err(|e| RequestError::io(context, &e))?;
+        if !line.ends_with('\n') && head.limit() == 0 {
+            return Err(RequestError::HeadTooLarge);
+        }
+        Ok((n, line))
+    };
+    let (n, line) = read_head_line("read request line")?;
+    if n == 0 {
+        return Ok(None);
     }
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or_else(|| malformed("empty request line"))?.to_uppercase();
@@ -80,8 +96,7 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>
     // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
     let mut keep_alive = version != "HTTP/1.0";
     loop {
-        let mut h = String::new();
-        reader.read_line(&mut h).map_err(|e| RequestError::io("read header", &e))?;
+        let (_, h) = read_head_line("read header")?;
         let h = h.trim_end();
         if h.is_empty() {
             break;
@@ -115,6 +130,7 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",
     }
 }

@@ -39,8 +39,8 @@ pub mod http;
 mod qlog;
 mod recorder;
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -57,7 +57,7 @@ pub use analyzer::{
     analyze_qlog, render_report, report_json, QlogReport, QLOG_REPORT_SCHEMA_VERSION,
 };
 pub use http::Client;
-use http::{read_request, write_response, Request, RequestError};
+use http::{read_request, write_response, Request, RequestError, MAX_HEAD};
 pub use qlog::{error_line, normalize_query, success_line, warn_line, QueryLog, DEFAULT_QLOG_KEEP};
 pub use recorder::FlightRecorder;
 
@@ -290,6 +290,13 @@ fn handle_connection(state: &State, stream: TcpStream) {
             // A stalled client gets no response — it is not reading one —
             // just its connection back. The thread frees itself.
             Err(RequestError::TimedOut) => return,
+            Err(RequestError::HeadTooLarge) => {
+                let body = format!("{{\"error\":\"request head exceeds {MAX_HEAD} bytes\"}}");
+                if write_response(&mut stream, 431, "application/json", &body, false).is_ok() {
+                    linger_close(&mut reader, &stream);
+                }
+                return;
+            }
             Err(RequestError::Malformed(e)) => {
                 let body = format!("{{\"error\":\"{}\"}}", json::escape(&e));
                 let _ = write_response(&mut stream, 400, "application/json", &body, false);
@@ -312,6 +319,22 @@ fn handle_connection(state: &State, stream: TcpStream) {
         if !write_ok || !keep_alive {
             return;
         }
+    }
+}
+
+/// How long [`linger_close`] waits for each read of a refused client's
+/// remaining input.
+const LINGER: Duration = Duration::from_secs(1);
+
+/// Ends a connection whose request was refused before it was fully read.
+/// Closing a socket with unread input resets the connection, and the reset
+/// discards any part of the reply still in the send queue. So this sends
+/// FIN after the reply and discards what the client still sends — at most
+/// [`MAX_HEAD`] bytes, waiting at most [`LINGER`] per read — before the
+/// caller drops the socket.
+fn linger_close(reader: &mut BufReader<TcpStream>, stream: &TcpStream) {
+    if stream.shutdown(Shutdown::Write).is_ok() && stream.set_read_timeout(Some(LINGER)).is_ok() {
+        let _ = std::io::copy(&mut reader.take(MAX_HEAD as u64), &mut std::io::sink());
     }
 }
 

@@ -40,7 +40,7 @@ fn healthz_metrics_and_query_roundtrip() {
     assert_eq!(status, 200);
     assert!(body.contains("\"id\":2"), "{body}");
     assert!(body.contains("\"trace\":{"), "{body}");
-    assert!(body.contains("\"schema_version\":7"), "{body}");
+    assert!(body.contains("\"schema_version\":8"), "{body}");
     // v4+: estimated-vs-actual cardinalities and plan-cache counters ride
     // along in every explain response.
     assert!(body.contains("\"estimates\":["), "{body}");
@@ -97,6 +97,33 @@ fn stalled_client_is_dropped_after_the_read_timeout() {
     let mut client = Client::connect(handle.addr()).unwrap();
     let (status, _) = client.post("/query", QUERY).unwrap();
     assert_eq!(status, 200);
+    handle.shutdown();
+}
+
+#[test]
+fn oversized_request_head_is_refused_with_431() {
+    use std::io::{Read as _, Write as _};
+
+    let handle = start(QueryLog::discard(), &ServerConfig::default());
+
+    // 17 KiB of request line with no line end, socket held open: an
+    // uncapped reader would buffer it and wait out the 30 s read timeout.
+    let mut client = std::net::TcpStream::connect(handle.addr()).unwrap();
+    client.write_all(&vec![b'a'; 17 << 10]).unwrap();
+    client.flush().unwrap();
+    client.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
+    // The whole reply, then a clean close: no reset may cut it short.
+    let mut reply = Vec::new();
+    if let Err(e) = client.read_to_end(&mut reply) {
+        panic!("expected a 431 within 5 s, got {e} after {reply:?}");
+    }
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(reply.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"), "{reply}");
+    assert!(reply.contains("Connection: close"), "{reply}");
+    assert!(reply.ends_with("\"error\":\"request head exceeds 16384 bytes\"}"), "{reply}");
+
+    let (status, body) = Client::connect(handle.addr()).unwrap().get("/healthz").unwrap();
+    assert_eq!(status, 200, "{body}");
     handle.shutdown();
 }
 
@@ -203,7 +230,7 @@ fn history_slo_and_perfetto_endpoints() {
 
     let (status, body) = client.get("/metrics/history?window=60").unwrap();
     assert_eq!(status, 200);
-    assert!(body.contains("\"schema_version\":1"), "{body}");
+    assert!(body.contains("\"schema_version\":2"), "{body}");
     assert!(body.contains("\"window_ms\":60000"), "{body}");
     assert!(body.matches("\"ts_ms\":").count() >= 2, "two sampler ticks: {body}");
     assert!(body.contains("\"queries\":"), "{body}");
@@ -241,7 +268,7 @@ fn history_slo_and_perfetto_endpoints() {
     assert!(body.contains("\"process_name\"") && body.contains("query 1:"), "{body}");
     let (status, body) = client.get("/flight-recorder/1").unwrap();
     assert_eq!(status, 200);
-    assert!(body.contains("\"schema_version\":7"), "{body}");
+    assert!(body.contains("\"schema_version\":8"), "{body}");
     let (status, _) = client.get("/flight-recorder/999").unwrap();
     assert_eq!(status, 404);
     let (status, _) = client.get("/flight-recorder/xyz").unwrap();
@@ -266,7 +293,7 @@ fn workload_endpoint_aggregates_fingerprints() {
 
     let (status, body) = client.get("/workload").unwrap();
     assert_eq!(status, 200);
-    assert!(body.contains("\"schema_version\":1"), "{body}");
+    assert!(body.contains("\"schema_version\":2"), "{body}");
     assert!(body.contains("\"capacity\":64"), "{body}");
     assert!(body.contains("\"hits\":2"), "{body}");
     assert!(body.contains("\"hits\":1"), "{body}");

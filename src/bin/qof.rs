@@ -11,8 +11,7 @@
 //!
 //! Built-in structuring schemas: `bibtex`, `mail`, `logs`, `sgml`, `code`
 //! (see `qof::corpus` for the formats). Pass `--index A,B,C` before the
-//! query to use a partial region index instead of full indexing, and
-//! `--cache` to share subexpression results across the run.
+//! query to use a partial region index instead of full indexing.
 
 use std::process::ExitCode;
 
@@ -48,13 +47,13 @@ fn usage() -> ExitCode {
         "usage:\n  \
          qof generate <schema> <count>\n  \
          qof rig <schema> [indexed,names]\n  \
-         qof query   <schema> [--index A,B,C] [--from-index F.qofx] [--cache] [--strict]\n              \
+         qof query   <schema> [--index A,B,C] [--from-index F.qofx] [--strict]\n              \
          [--explain-analyze] [--trace-json FILE] [--trace-perfetto FILE]\n              \
          [<file>...] <query>\n  \
          qof explain <schema> [--index A,B,C] [--from-index F.qofx] [<file>...] <query>\n  \
-         qof stats   <schema> [--index A,B,C] [--from-index F.qofx] [--cache]\n              \
+         qof stats   <schema> [--index A,B,C] [--from-index F.qofx]\n              \
          [--json] [--history] [--workload] [<file>...] <query>...\n  \
-         qof serve   <schema> [--index A,B,C] [--from-index F.qofx] [--cache]\n              \
+         qof serve   <schema> [--index A,B,C] [--from-index F.qofx]\n              \
          [--port P] [--log FILE] [--qlog-max-bytes N] [--slow-ms MS] [--recorder N]\n              \
          [--timeout-ms MS] [--history-interval-ms MS] [--slo p95=50ms,err=0.1%] [<file>...]\n  \
          qof top     [--host H] [--port P] [--interval-ms MS] [--frames N] [--once]\n  \
@@ -123,17 +122,15 @@ fn load_db(
 }
 
 /// `qof stats`: runs every query traced against the corpus, then prints the
-/// process-wide metrics snapshot (queries executed, cache hit ratio,
+/// process-wide metrics snapshot (queries executed, plan-cache hit ratio,
 /// p50/p95 operator latencies). Trailing arguments are files when they
 /// exist on disk and queries otherwise — queries contain spaces and SELECT
 /// keywords, never bare readable paths.
-#[allow(clippy::too_many_arguments)] // one parameter per CLI flag, dispatched once
 fn run_stats(
     schema: StructuringSchema,
     rest: Vec<String>,
     index: Option<&str>,
     from_index: Option<&str>,
-    cache: bool,
     json: bool,
     history: bool,
     workload: bool,
@@ -143,7 +140,7 @@ fn run_stats(
     if (files.is_empty() && from_index.is_none()) || queries.is_empty() {
         return Ok(usage());
     }
-    let db = load_db(schema, &files, index, from_index)?.with_subexpr_cache(cache);
+    let db = load_db(schema, &files, index, from_index)?;
     let registry = qof::pat::MetricsRegistry::global();
     for q in &queries {
         if let Err(e) = db.query_traced(q) {
@@ -188,13 +185,6 @@ fn run_stats(
         return Ok(ExitCode::SUCCESS);
     }
     println!("queries executed:   {} ({} errors)", snap.queries, snap.query_errors);
-    println!(
-        "cache hit rate:     {:.1}% ({} hits / {} misses, {} evictions)",
-        snap.cache_hit_rate() * 100.0,
-        snap.cache_hits,
-        snap.cache_misses,
-        snap.cache_evictions
-    );
     println!(
         "plan cache:         {:.1}% hits ({} hits / {} misses)",
         snap.plan_cache_hit_rate() * 100.0,
@@ -241,8 +231,8 @@ fn render_workload_table(entries: &[qof::pat::WorkloadEntry]) -> String {
     }
     let _ = writeln!(
         out,
-        "  {:<16} {:>6} {:>9} {:>9} {:>6} {:>6}  exemplar",
-        "fingerprint", "hits", "p50", "p95", "plan%", "cache%"
+        "  {:<16} {:>6} {:>9} {:>9} {:>6}  exemplar",
+        "fingerprint", "hits", "p50", "p95", "plan%"
     );
     for e in entries {
         let s = e.latency.summary();
@@ -253,13 +243,12 @@ fn render_workload_table(entries: &[qof::pat::WorkloadEntry]) -> String {
         }
         let _ = writeln!(
             out,
-            "  {:016x} {:>6} {:>9} {:>9} {:>6} {:>6}  {q}",
+            "  {:016x} {:>6} {:>9} {:>9} {:>6}  {q}",
             e.fingerprint,
             e.hits,
             fmt_nanos(s.p50_nanos),
             fmt_nanos(s.p95_nanos),
             pct(e.plan_cache_hit_rate()),
-            pct(e.cache_hit_rate()),
         );
     }
     out
@@ -291,7 +280,6 @@ fn run_serve(
     files: &[String],
     index: Option<&str>,
     from_index: Option<&str>,
-    cache: bool,
     opts: &ServeOpts,
 ) -> Result<ExitCode, String> {
     use qof::server::{serve, QueryLog, ServerConfig, SloSpec, DEFAULT_QLOG_KEEP};
@@ -303,7 +291,7 @@ fn run_serve(
         Some(spec) => Some(SloSpec::parse(spec).map_err(|e| format!("--slo: {e}"))?),
     };
     let started = std::time::Instant::now();
-    let db = load_db(schema, files, index, from_index)?.with_subexpr_cache(cache);
+    let db = load_db(schema, files, index, from_index)?;
     eprintln!(
         "qof serve: {} backend ready in {:.1}ms ({} index bytes)",
         db.backend_label(),
@@ -343,7 +331,7 @@ fn run_serve(
 }
 
 /// `qof top`: a live terminal dashboard over a running `qof serve`
-/// instance — QPS, latency quantiles, cache hit rates, SLO burn state and
+/// instance — QPS, latency quantiles, plan-cache hit rate, SLO burn state and
 /// the slowest retained queries, refreshed in place with ANSI clears.
 /// Scrapes the same HTTP surfaces any monitoring stack would:
 /// `/metrics?format=json`, `/metrics/history`, `/healthz` and
@@ -502,12 +490,7 @@ fn top_frame(client: &mut qof::server::Client, base: &str, frame: u64) -> Result
         fmt_nanos(get_u64(lat, "p50_nanos")?),
         fmt_nanos(get_u64(lat, "p95_nanos")?)
     );
-    let _ = writeln!(
-        out,
-        "caches    subexpr {:.1}% hit   plan {:.1}% hit",
-        get_f64(m, "cache_hit_rate")? * 100.0,
-        get_f64(m, "plan_cache_hit_rate")? * 100.0
-    );
+    let _ = writeln!(out, "cache     plan {:.1}% hit", get_f64(m, "plan_cache_hit_rate")? * 100.0);
 
     // SLO state rides in the history envelope when `--slo` is declared.
     if let Ok(slo) = get(hist, "slo") {
@@ -630,7 +613,6 @@ fn run() -> Result<ExitCode, String> {
             let mut rest: Vec<String> = args[2..].to_vec();
             let mut index: Option<String> = None;
             let mut from_index: Option<String> = None;
-            let mut cache = false;
             let mut strict = false;
             let mut explain_analyze = false;
             let mut trace_json: Option<String> = None;
@@ -661,10 +643,6 @@ fn run() -> Result<ExitCode, String> {
                         }
                         from_index = Some(rest[1].clone());
                         rest.drain(..2);
-                    }
-                    Some("--cache") => {
-                        cache = true;
-                        rest.remove(0);
                     }
                     Some("--strict") => {
                         strict = true;
@@ -774,7 +752,6 @@ fn run() -> Result<ExitCode, String> {
                     rest,
                     index.as_deref(),
                     from_index.as_deref(),
-                    cache,
                     json,
                     history,
                     workload,
@@ -791,21 +768,13 @@ fn run() -> Result<ExitCode, String> {
                     history_interval_ms,
                     slo,
                 };
-                return run_serve(
-                    schema,
-                    &rest,
-                    index.as_deref(),
-                    from_index.as_deref(),
-                    cache,
-                    &opts,
-                );
+                return run_serve(schema, &rest, index.as_deref(), from_index.as_deref(), &opts);
             }
             let Some((query, files)) = rest.split_last() else { return Ok(usage()) };
             if files.is_empty() && from_index.is_none() {
                 return Ok(usage());
             }
             let db = load_db(schema, files, index.as_deref(), from_index.as_deref())?
-                .with_subexpr_cache(cache)
                 .with_strict(strict);
             if cmd == "explain" {
                 print!("{}", db.explain(query).map_err(|e| e.to_string())?);
@@ -847,13 +816,6 @@ fn run() -> Result<ExitCode, String> {
                     res.stats.eval,
                     res.stats.parse.bytes_scanned
                 );
-                if cache {
-                    let cs = db.cache_stats();
-                    eprintln!(
-                        "-- cache: {} hits / {} misses ({} entries)",
-                        cs.hits, cs.misses, cs.entries
-                    );
-                }
             }
             Ok(ExitCode::SUCCESS)
         }
