@@ -282,7 +282,7 @@ fn e3(scale: Scale, r: &mut Recorder) {
         let sections = fdb.instance().get("Section").unwrap().clone();
         let heads = fdb.instance().get("Head").unwrap().clone();
         let universe = fdb.instance().universe();
-        let forest = fdb.instance().build_forest();
+        let forest = fdb.instance().forest();
         let t_plain = median_secs(9, || {
             let t = Instant::now();
             std::hint::black_box(sections.including(&heads));
@@ -290,7 +290,7 @@ fn e3(scale: Scale, r: &mut Recorder) {
         });
         let t_fast = median_secs(9, || {
             let t = Instant::now();
-            std::hint::black_box(direct_including(&sections, &heads, &forest));
+            std::hint::black_box(direct_including(&sections, &heads, forest));
             t.elapsed().as_secs_f64()
         });
         let t_layered = median_secs(9, || {
@@ -647,9 +647,9 @@ fn prom_counter(metrics: &str, name: &str) -> u64 {
 /// E12: the `qof serve` stack under closed-loop load — concurrent
 /// keep-alive HTTP clients posting the E11 workload (plus one malformed
 /// query each), with p50/p95 read back from `/metrics` the way a scraper
-/// would, the query log cross-checked line-for-line against
-/// `qof_queries_total`, and the log's overhead measured by re-running the
-/// identical load with the log discarded.
+/// would and also timed by the clients, the query log cross-checked
+/// line-for-line against `qof_queries_total`, and the log's overhead
+/// measured by re-running the identical load with the log discarded.
 fn e12(scale: Scale, r: &mut Recorder) {
     use std::net::TcpListener;
 
@@ -669,39 +669,47 @@ fn e12(scale: Scale, r: &mut Recorder) {
             .expect("generated corpus indexes")
     };
     // One closed-loop run: start a fresh server, drive it, return the
-    // handle (still serving) and the load's wall-clock seconds.
-    let run_load = |log: QueryLog| -> (ServerHandle, f64) {
+    // handle (still serving), the load's wall-clock seconds and every
+    // request's round trip as the client saw it, in seconds.
+    let run_load = |log: QueryLog| -> (ServerHandle, f64, Vec<f64>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("loopback listener");
         let handle = serve(build_db(), listener, log, &ServerConfig::default()).expect("serve");
         let addr = handle.addr();
         let t = Instant::now();
-        std::thread::scope(|s| {
-            for c in 0..clients {
-                s.spawn(move || {
-                    let mut client = Client::connect(addr).expect("connect");
-                    for i in 0..per_client {
-                        let (want, q) = if i == 0 {
-                            (400, "SELEC nope")
-                        } else {
-                            (200, BATCH_WORKLOAD[(c + i) % BATCH_WORKLOAD.len()])
-                        };
-                        let (status, body) = client.post("/query", q).expect("request");
-                        assert_eq!(status, want, "{body}");
-                    }
-                });
-            }
+        let round_trips = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..clients)
+                .map(|c| {
+                    s.spawn(move || {
+                        let mut client = Client::connect(addr).expect("connect");
+                        let mut secs = Vec::with_capacity(per_client);
+                        for i in 0..per_client {
+                            let (want, q) = if i == 0 {
+                                (400, "SELEC nope")
+                            } else {
+                                (200, BATCH_WORKLOAD[(c + i) % BATCH_WORKLOAD.len()])
+                            };
+                            let t = Instant::now();
+                            let (status, body) = client.post("/query", q).expect("request");
+                            secs.push(t.elapsed().as_secs_f64());
+                            assert_eq!(status, want, "{body}");
+                        }
+                        secs
+                    })
+                })
+                .collect();
+            workers.into_iter().flat_map(|w| w.join().expect("client thread")).collect()
         });
-        (handle, t.elapsed().as_secs_f64())
+        (handle, t.elapsed().as_secs_f64(), round_trips)
     };
 
     // Pass 1: log discarded (the no-overhead baseline).
-    let (plain, t_plain) = run_load(QueryLog::discard());
+    let (plain, t_plain, _) = run_load(QueryLog::discard());
     plain.shutdown();
 
     // Pass 2: the same load with the query log on a real file.
     let log_path = std::env::temp_dir().join(format!("qof-e12-{}.log", std::process::id()));
     let file = std::fs::File::create(&log_path).expect("create query log");
-    let (handle, t_logged) = run_load(QueryLog::new(Box::new(file)));
+    let (handle, t_logged, mut round_trips) = run_load(QueryLog::new(Box::new(file)));
 
     let total = (clients * per_client) as u64;
     let mut scraper = Client::connect(handle.addr()).expect("connect");
@@ -721,19 +729,27 @@ fn e12(scale: Scale, r: &mut Recorder) {
 
     let p50 = prom_histogram_quantile(&metrics, "qof_query_latency_seconds", 0.50);
     let p95 = prom_histogram_quantile(&metrics, "qof_query_latency_seconds", 0.95);
+    round_trips.sort_by(f64::total_cmp);
+    let client_quantile = |q: f64| round_trips[((round_trips.len() - 1) as f64 * q) as usize];
+    let (client_p50, client_p95) = (client_quantile(0.50), client_quantile(0.95));
     let overhead = t_logged / t_plain.max(1e-12);
     r.rec("requests", total as f64, "queries");
     r.rec("wall_secs_logged", t_logged, "s");
     r.rec("throughput_qps", total as f64 / t_logged.max(1e-12), "1/s");
     r.rec("p50_ms", p50 * 1e3, "ms");
     r.rec("p95_ms", p95 * 1e3, "ms");
+    r.rec("client_p50_ms", client_p50 * 1e3, "ms");
+    r.rec("client_p95_ms", client_p95 * 1e3, "ms");
     r.rec("log_overhead_ratio", overhead, "x");
     println!(
-        "{total} requests in {} = {:.0} q/s; server-side p50 {} p95 {} (log₂ bucket bounds)",
+        "{total} requests in {} = {:.0} q/s; server-side p50 {} p95 {} (log₂ bucket bounds); \
+         client round trip p50 {} p95 {}",
         fmt_secs(t_logged),
         total as f64 / t_logged.max(1e-12),
         fmt_secs(p50),
         fmt_secs(p95),
+        fmt_secs(client_p50),
+        fmt_secs(client_p95),
     );
     println!(
         "query log: {log_lines} lines (= qof_queries_total); overhead vs no log {overhead:.3}x"

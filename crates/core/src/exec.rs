@@ -1150,7 +1150,7 @@ mod tests {
 
     use qof_corpus::bibtex::{self, BibtexConfig};
     use qof_grammar::IndexSpec;
-    use qof_pat::OpTrace;
+    use qof_pat::{OpTrace, RegionExpr};
 
     /// A corpus of `files` bibtex files with distinct seeds.
     fn multi_file_corpus(files: usize, refs_per_file: usize) -> Corpus {
@@ -1504,6 +1504,31 @@ mod tests {
     }
 
     #[test]
+    fn add_file_drops_a_built_forest_so_direct_inclusion_sees_the_new_file() {
+        let cfg = BibtexConfig { n_refs: 10, name_pool: 8, ..Default::default() };
+        let (text, _) = bibtex::generate(&cfg);
+        let mut db =
+            FileDatabase::build(Corpus::from_text(&text), bibtex::schema(), IndexSpec::full())
+                .unwrap();
+        let direct = RegionExpr::name("Reference").direct_including(RegionExpr::name("Authors"));
+        let eval = |db: &FileDatabase| {
+            Engine::new(db.corpus(), db.word_index(), db.instance()).eval(&direct).unwrap()
+        };
+        let before = eval(&db);
+        assert!(!before.is_empty());
+        let old_end = db.corpus().len();
+
+        let (text2, _) = bibtex::generate(&BibtexConfig { n_refs: 10, seed: 9, ..cfg });
+        db.add_file("extra.bib", &text2).unwrap();
+        let after = eval(&db);
+        assert!(after.len() > before.len(), "the new file's references directly include Authors");
+        assert!(after.iter().any(|r| r.start >= old_end));
+        let rebuilt =
+            FileDatabase::build(db.corpus().clone(), bibtex::schema(), IndexSpec::full()).unwrap();
+        assert_eq!(after, eval(&rebuilt));
+    }
+
+    #[test]
     fn add_file_extends_scoped_word_index() {
         // Regression: `append_span` used to index every token of an
         // appended file even when the word index was built with a §7
@@ -1575,6 +1600,19 @@ mod tests {
             assert_same_results(&a, &b, q);
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn opened_and_built_instances_compare_equal_whether_or_not_a_forest_is_built() {
+        let built =
+            FileDatabase::build(multi_file_corpus(2, 10), bibtex::schema(), IndexSpec::full())
+                .unwrap();
+        let path = temp_qofx("forest-eq");
+        built.persist(&path).unwrap();
+        let opened = FileDatabase::open(&path, bibtex::schema()).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(!built.instance().forest().is_empty());
+        assert_eq!(opened.instance(), built.instance());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use qof_text::{Corpus, Pos, SuffixArray, WordLookup};
 
 use crate::{
     direct_included_in, direct_including, CacheSource, EvalStats, Instance, OpTrace, Region,
-    RegionExpr, RegionSet, TraceSink, UniverseForest,
+    RegionExpr, RegionSet, TraceSink,
 };
 
 /// Errors raised during evaluation.
@@ -41,8 +41,6 @@ pub struct Engine<'a> {
     words: &'a dyn WordLookup,
     suffix: Option<&'a SuffixArray>,
     instance: &'a Instance,
-    universe: RegionSet,
-    forest: UniverseForest,
     stats: RefCell<EvalStats>,
     share: std::cell::Cell<bool>,
     /// Operator trace sink. `None` (the default) keeps evaluation on the
@@ -51,17 +49,15 @@ pub struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Builds an engine; the universe nesting forest is constructed once.
+    /// Builds an engine. Constant work: the universe nesting forest that
+    /// `⊃d`, `⊂d` and `⊃^n` navigate belongs to the instance
+    /// ([`Instance::forest`]), built on first use and shared across engines.
     pub fn new(corpus: &'a Corpus, words: &'a dyn WordLookup, instance: &'a Instance) -> Self {
-        let universe = instance.universe();
-        let forest = UniverseForest::build(&universe);
         Self {
             corpus,
             words,
             suffix: None,
             instance,
-            universe,
-            forest,
             stats: RefCell::new(EvalStats::new()),
             share: std::cell::Cell::new(true),
             trace: None,
@@ -92,16 +88,6 @@ impl<'a> Engine<'a> {
     /// The region-index instance.
     pub fn instance(&self) -> &Instance {
         self.instance
-    }
-
-    /// The set of all indexed regions.
-    pub fn universe(&self) -> &RegionSet {
-        &self.universe
-    }
-
-    /// The universe nesting forest.
-    pub fn forest(&self) -> &UniverseForest {
-        &self.forest
     }
 
     /// Accumulated statistics since construction or the last reset.
@@ -375,16 +361,18 @@ impl<'a> Engine<'a> {
             }
             DirectIncluding(a, b) => {
                 let (x, y) = (self.eval_memo(a, memo)?, self.eval_memo(b, memo)?);
-                let out = direct_including(&x, &y, &self.forest);
+                let forest = self.instance.forest();
+                let out = direct_including(&x, &y, forest);
                 // ⊃d consults the whole universe, which is what makes it
                 // "significantly more expensive than the simple inclusion".
-                record("⊃d", x.len() + y.len() + self.universe.len(), &out);
+                record("⊃d", x.len() + y.len() + forest.len(), &out);
                 out
             }
             DirectIncludedIn(a, b) => {
                 let (x, y) = (self.eval_memo(a, memo)?, self.eval_memo(b, memo)?);
-                let out = direct_included_in(&x, &y, &self.forest);
-                record("⊂d", x.len() + y.len() + self.universe.len(), &out);
+                let forest = self.instance.forest();
+                let out = direct_included_in(&x, &y, forest);
+                record("⊂d", x.len() + y.len() + forest.len(), &out);
                 out
             }
             NestedExactly { outer, inner, depth } => {
@@ -413,13 +401,14 @@ impl<'a> Engine<'a> {
     /// `depth` indexed regions strictly in between. Exact when `outer`'s
     /// extents are indexed (always true for translated queries).
     fn nested_exactly(&self, outer: &RegionSet, inner: &RegionSet, depth: u32) -> RegionSet {
-        let enclosures = self.forest.strict_enclosures(inner);
+        let forest = self.instance.forest();
+        let enclosures = forest.strict_enclosures(inner);
         let mut candidates: Vec<Region> = Vec::new();
         for p in enclosures.into_iter().flatten() {
             // Walk `depth` more strict enclosures up from the first one.
-            if let Some(pi) = self.forest.find(&p) {
-                if let Some(anc) = self.forest.ancestor_at(pi, depth) {
-                    candidates.push(self.forest.regions()[anc]);
+            if let Some(pi) = forest.find(&p) {
+                if let Some(anc) = forest.ancestor_at(pi, depth) {
+                    candidates.push(forest.regions()[anc]);
                 }
             }
         }

@@ -3,13 +3,29 @@
 
 use crate::{RegionSet, UniverseForest};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// An instance `I` of a region index: `I(Rᵢ)` is a set of regions for each
 /// region name `Rᵢ`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The nesting forest of all indexed regions is part of the index state:
+/// built on the first [`Instance::forest`] call, shared by every query from
+/// then on, and dropped by [`Instance::insert`] and [`Instance::merge`].
+#[derive(Debug, Clone, Default)]
 pub struct Instance {
     names: BTreeMap<String, RegionSet>,
+    forest: OnceLock<UniverseForest>,
 }
+
+/// Two instances are equal when they index the same regions under the same
+/// names; whether either has built its forest yet does not matter.
+impl PartialEq for Instance {
+    fn eq(&self, other: &Self) -> bool {
+        self.names == other.names
+    }
+}
+
+impl Eq for Instance {}
 
 impl Instance {
     /// An instance with no region names.
@@ -19,11 +35,13 @@ impl Instance {
 
     /// Registers (or replaces) the instance of a region name.
     pub fn insert(&mut self, name: impl Into<String>, regions: RegionSet) {
+        self.forest.take();
         self.names.insert(name.into(), regions);
     }
 
     /// Merges regions into an existing name (union), creating it if absent.
     pub fn merge(&mut self, name: &str, regions: RegionSet) {
+        self.forest.take();
         match self.names.get_mut(name) {
             Some(existing) => *existing = existing.union(&regions),
             None => {
@@ -79,9 +97,11 @@ impl Instance {
         RegionSet::from_regions(all)
     }
 
-    /// Builds the nesting forest of [`Instance::universe`].
-    pub fn build_forest(&self) -> UniverseForest {
-        UniverseForest::build(&self.universe())
+    /// The nesting forest of [`Instance::universe`], which `⊃d`, `⊂d` and
+    /// `⊃^n` navigate. Built on the first call; concurrent first callers
+    /// build it once.
+    pub fn forest(&self) -> &UniverseForest {
+        self.forest.get_or_init(|| UniverseForest::build(&self.universe()))
     }
 
     /// Restricts the instance to the given names (partial indexing, §6).
@@ -94,6 +114,7 @@ impl Instance {
                 .filter(|(k, _)| keep.contains(k.as_str()))
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
+            forest: OnceLock::new(),
         }
     }
 }
@@ -147,6 +168,19 @@ mod tests {
         i.insert("C", rs(&[(3, 4)]));
         let p = i.restrict_to(["A", "C"]);
         assert!(p.has("A") && p.has("C") && !p.has("B"));
+    }
+
+    #[test]
+    fn forest_follows_insert_and_merge() {
+        let mut i = Instance::new();
+        i.insert("A", rs(&[(0, 100)]));
+        assert_eq!(i.forest().len(), 1);
+        i.insert("B", rs(&[(10, 20)]));
+        assert_eq!(i.forest().len(), 2);
+        assert_eq!(i.forest().parent_of(1), Some(0));
+        i.merge("B", rs(&[(30, 40)]));
+        assert_eq!(i.forest().len(), 3);
+        assert_eq!(i.forest().parent_of(2), Some(0));
     }
 
     #[test]

@@ -135,21 +135,24 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one response with `Content-Length` framing.
-pub fn write_response(
-    stream: &mut TcpStream,
+/// Writes one response with `Content-Length` framing, as a single write:
+/// `write!` straight onto a socket sends every format fragment as its own
+/// segment, and with Nagle's algorithm the tail then waits for the peer's
+/// delayed ACK.
+pub fn write_response<W: Write>(
+    stream: &mut W,
     status: u16,
     content_type: &str,
     body: &str,
     keep_alive: bool,
 ) -> std::io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    write!(
-        stream,
+    let response = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
         reason(status),
         body.len(),
-    )?;
+    );
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 
@@ -161,9 +164,11 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to the server.
+    /// Connects to the server. Requests go out with `TCP_NODELAY`, each in
+    /// one write, so no round trip waits on a delayed ACK.
     pub fn connect(addr: SocketAddr) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client { stream, reader })
     }
@@ -179,13 +184,11 @@ impl Client {
     }
 
     fn request(&mut self, method: &str, path: &str, body: &str) -> Result<(u16, String), String> {
-        write!(
-            self.stream,
+        let request = format!(
             "{method} {path} HTTP/1.1\r\nHost: qof\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
-        )
-        .map_err(|e| format!("send: {e}"))?;
-        self.stream.flush().map_err(|e| format!("flush: {e}"))?;
+        );
+        self.stream.write_all(request.as_bytes()).map_err(|e| format!("send: {e}"))?;
 
         let mut status_line = String::new();
         self.reader.read_line(&mut status_line).map_err(|e| format!("read status: {e}"))?;
@@ -229,6 +232,30 @@ mod tests {
         assert_eq!(req.query_param("format"), Some("json"));
         assert_eq!(req.query_param("explain"), Some("1"));
         assert_eq!(req.query_param("missing"), None);
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        /// Records the bytes of every `write` call separately.
+        #[derive(Default)]
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes::default();
+        write_response(&mut w, 200, "application/json", "{\"id\":1}", true).unwrap();
+        assert_eq!(w.0.len(), 1, "status line, headers and body in one write");
+        assert_eq!(
+            String::from_utf8(w.0.remove(0)).unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 8\r\n\
+             Connection: keep-alive\r\n\r\n{\"id\":1}"
+        );
     }
 
     #[test]

@@ -275,8 +275,12 @@ fn sampler_tick(state: &State) {
 /// Serves one connection until the client closes it, asks to, stalls past
 /// the configured timeouts, or errors.
 fn handle_connection(state: &State, stream: TcpStream) {
+    // `TCP_NODELAY`: a response is one write (see `write_response`), so
+    // there is nothing for Nagle's algorithm to coalesce, only a delayed
+    // ACK to wait on.
     if stream.set_read_timeout(state.read_timeout).is_err()
         || stream.set_write_timeout(state.write_timeout).is_err()
+        || stream.set_nodelay(true).is_err()
     {
         return;
     }

@@ -371,3 +371,21 @@ fn shutdown_reply_is_fully_delivered_before_the_accept_loop_dies() {
     assert!(reply.contains("Connection: close"), "{reply}");
     handle.shutdown();
 }
+
+#[test]
+fn keep_alive_round_trips_do_not_wait_on_delayed_acks() {
+    // With Nagle's algorithm on and a reply split over several writes,
+    // every round trip waits out the peer's delayed ACK (~40 ms on Linux
+    // loopback): 40 queries then take well over a second.
+    let handle = start(QueryLog::discard(), &ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.post("/query", QUERY).unwrap(); // plans and warms the cache
+    let t = std::time::Instant::now();
+    for _ in 0..40 {
+        let (status, body) = client.post("/query", QUERY).unwrap();
+        assert_eq!(status, 200, "{body}");
+    }
+    let elapsed = t.elapsed();
+    assert!(elapsed < std::time::Duration::from_secs(1), "40 round trips took {elapsed:?}");
+    handle.shutdown();
+}
